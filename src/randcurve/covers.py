@@ -1,5 +1,14 @@
-"""Simple lifting degree by exhaustive search, and subgroup-counting
+"""Simple lifting degree by a backtracking search, and subgroup-counting
 formulas with enumeration cross-checks.
+
+``simple_lifting_degree`` finds, for d = 1, 2, ..., the fewest sheets on
+which the elevation of a curve's primitive root can close up embedded.  It
+walks that elevation from sheet 0, defining permutation entries only when
+the walk needs them and numbering sheets in order of first visit (the
+low-index-subgroups technique, Sims, *Computation with Finitely Presented
+Groups*, ch. 5), and cuts a branch as soon as one sheet holds two linked
+positions of the root.  The enumeration of transitive tuples it replaced
+is kept as the test oracle ``_degree_by_enumeration``.
 
 ``hall_count`` evaluates Hall's recursion for the number of index-d
 subgroups of a free group; ``mednykh_count`` evaluates the character-sum
@@ -15,8 +24,8 @@ from functools import lru_cache
 from itertools import permutations, product
 from math import factorial
 
-from .intersect import EdgePath, linked_pair_matrix, self_intersection
-from .ribbon import PermRep, RibbonGraph
+from .intersect import EdgePath, linked_pair_matrix
+from .ribbon import PermRep, RibbonGraph, perm_cycles
 from .words import CyclicWord, WordError
 
 
@@ -215,6 +224,117 @@ class DegreeSearchResult:
         return self.degree is not None
 
 
+def _embedded_walk(letters, power: int, linked_masks, rank: int, d: int):
+    """Partial permutations on at most ``d`` sheets along which the
+    elevation of ``root^power`` from sheet 0 closes up embedded, else None.
+
+    ``fwd[k][s]`` is the image of sheet ``s`` under generator ``k+1``, -1
+    where undefined; ``inv[k]`` is its inverse.  The walk defines an entry
+    only when it needs one, trying each sheet in use whose opposite entry is
+    free and then one new sheet, so sheets are numbered in order of first
+    visit and no conjugate tuple is tried twice.  Position ``i`` may not be
+    placed on a sheet holding a position ``j`` with bit ``j`` set in
+    ``linked_masks[i]``.  Backtracking uses an explicit stack: the walk is
+    root length times passes deep.
+    """
+    L = len(letters)
+    fwd = [[-1] * d for _ in range(rank)]
+    inv = [[-1] * d for _ in range(rank)]
+    # per position: the entries the letter reads, and their opposite entries
+    steps = [(fwd[x - 1], inv[x - 1]) if x > 0 else (inv[-x - 1], fwd[-x - 1])
+             for x in letters]
+    held = [0] * d  # bitmask of the root positions placed on each sheet
+    walk = []  # sheet of each step; step k sits at position k % L
+    choices = []  # open choices: [step, candidate sheets, next try, sheets in use]
+    s, k, used = 0, 0, 1
+    while True:
+        i = k % L
+        if k and not i and not s:
+            if (k // L) % power == 0:
+                return fwd
+        elif not held[s] & linked_masks[i]:
+            held[s] |= 1 << i
+            walk.append(s)
+            out, back = steps[i]
+            t = out[s]
+            if t >= 0:
+                s, k = t, k + 1
+                continue
+            cands = [u for u in range(used) if back[u] < 0]
+            if used < d:
+                cands.append(used)
+            choices.append([k, cands, 0, used])
+        # dead end, or a new choice: take the next candidate of the last choice
+        while choices:
+            choice = choices[-1]
+            k0, cands, j, used0 = choice
+            while len(walk) > k0 + 1:
+                sheet = walk.pop()
+                held[sheet] &= ~(1 << (len(walk) % L))
+            s0 = walk[k0]
+            out, back = steps[k0 % L]
+            if j:  # undo the previous try
+                back[out[s0]] = -1
+                out[s0] = -1
+            if j == len(cands):
+                choices.pop()
+                continue
+            t = cands[j]
+            choice[2] = j + 1
+            out[s0], back[t] = t, s0
+            used = used0 + (t == used0)
+            s, k = t, k0 + 1
+            break
+        else:
+            return None
+
+
+def _complete(fwd, d: int) -> list[list[int]]:
+    """Fill each partial permutation by matching its free points to its free
+    images in increasing order."""
+    out = []
+    for p in fwd:
+        images = set(p)
+        free_images = iter(t for t in range(d) if t not in images)
+        out.append([t if t >= 0 else next(free_images) for t in p])
+    return out
+
+
+def simple_lifting_degree(gamma: CyclicWord, g: RibbonGraph,
+                          d_max: int = 6) -> DegreeSearchResult:
+    """Least degree of a connected cover in which ``gamma`` has an embedded
+    elevation, searching d = 1..d_max.
+
+    For each d, a backtracking search walks the elevation of the primitive
+    root from sheet 0 over partial permutations (see ``_embedded_walk``).
+    Root positions landing on a common sheet cross exactly when their base
+    residues are a linked pair (``linked_pair_matrix``), so no cover is
+    built.  The walk succeeds when it returns to sheet 0 after a number of
+    root passes divisible by the power.  Every sheet in use is reached by
+    the walk, so every completion of the partial permutations is transitive,
+    and the least d with an embedded closed walk is the degree.  The witness
+    fills the undefined entries in increasing order; ``elevation_index``
+    names the elevation through sheet 0.
+    """
+    if len(gamma) == 0:
+        raise WordError("trivial curve")
+    if g.vertex_count != 1:
+        raise CoverSearchError("degree search expects a one-vertex spine")
+    root, power = gamma.primitive_root()
+    linked = linked_pair_matrix(EdgePath.from_word(root, g))
+    masks = [sum(1 << j for j, hit in enumerate(row) if hit) for row in linked]
+    for d in range(1, d_max + 1):
+        fwd = _embedded_walk(root.letters, power, masks, g.rank, d)
+        if fwd is not None:
+            rep = PermRep(d, _complete(fwd, d))
+            cycles = perm_cycles(rep.perm_of(gamma.letters))
+            idx = next(i for i, cyc in enumerate(cycles) if 0 in cyc)
+            return DegreeSearchResult(d, d_max, rep, idx)
+    return DegreeSearchResult(None, d_max)
+
+
+# --- test oracle: enumeration of transitive tuples ---------------------------
+
 def _cycle_type_reps(d: int):
     """One permutation per conjugacy class of S_d (cycle type)."""
     for lam in partitions(d):
@@ -282,29 +402,24 @@ def _simple_elevation_sheet(tup, letters, power, linked_rows, d: int) -> int | N
     return None
 
 
-def simple_lifting_degree(gamma: CyclicWord, g: RibbonGraph, d_max: int = 6,
-                          exhaustive: bool = False) -> DegreeSearchResult:
-    """Least degree of a connected cover in which ``gamma`` has an embedded
-    elevation, searching d = 1..d_max over transitive permutation tuples.
+def _degree_by_enumeration(gamma: CyclicWord, g: RibbonGraph, d_max: int,
+                           exhaustive: bool = False) -> DegreeSearchResult:
+    """Test oracle for ``simple_lifting_degree``: every transitive tuple of
+    each degree d = 1..d_max, every cycle of the root permutation.
 
-    Every cycle of the word permutation is tested.  The default search fixes
-    the first generator to one representative per cycle type (valid for the
-    existence question, since simultaneous conjugation acts on covers by
-    isomorphism); ``exhaustive=True`` disables that reduction.
+    The first generator is fixed to one representative per cycle type
+    (valid for the existence question, since simultaneous conjugation acts
+    on covers by isomorphism); ``exhaustive=True`` disables that reduction.
     """
     if len(gamma) == 0:
         raise WordError("trivial curve")
     if g.vertex_count != 1:
         raise CoverSearchError("degree search expects a one-vertex spine")
-    path = EdgePath.from_word(gamma, g)
-    if self_intersection(path) == 0:
-        return DegreeSearchResult(1, d_max, PermRep(1, ((0,),) * g.rank), 0)
     root, power = gamma.primitive_root()
-    root_path = EdgePath.from_word(root, g)
     letters = root.letters
-    linked = linked_pair_matrix(root_path)
+    linked = linked_pair_matrix(EdgePath.from_word(root, g))
     rank = g.rank
-    for d in range(2, d_max + 1):
+    for d in range(1, d_max + 1):
         perms = list(permutations(range(d)))
         first = perms if exhaustive else list(_cycle_type_reps(d))
         for p0 in first:
@@ -316,8 +431,6 @@ def simple_lifting_degree(gamma: CyclicWord, g: RibbonGraph, d_max: int = 6,
                 if sheet is not None:
                     rep = PermRep(d, tup)
                     gamma_perm = rep.perm_of(gamma.letters)
-                    from .ribbon import perm_cycles
-
                     idx = next(i for i, cyc in enumerate(perm_cycles(gamma_perm))
                                if sheet in cyc)
                     return DegreeSearchResult(d, d_max, rep, idx)

@@ -3,13 +3,14 @@ import random
 
 import pytest
 
-from randcurve.covers import (Partition, hall_count,
+from randcurve.covers import (Partition, _degree_by_enumeration, hall_count,
                               hook_degree, mednykh_count, partitions,
                               simple_lifting_degree, subgroup_class_count,
                               subgroup_count_by_enumeration,
                               count_transitive_reps, transitive_reps)
 from randcurve.intersect import EdgePath, self_intersection, spiraling
-from randcurve.ribbon import punctured_torus
+from randcurve.ribbon import elevations, punctured_torus
+from randcurve.verify import _cyclic_classes
 from randcurve.words import CyclicWord, Word, alphabet_letters, cyclic_reduce
 
 PT = punctured_torus()
@@ -96,8 +97,56 @@ def test_degree_search_matches_exhaustive():
         if len(c) == 0:
             continue
         fast = simple_lifting_degree(c, PT, d_max=3)
-        full = simple_lifting_degree(c, PT, d_max=3, exhaustive=True)
+        full = _degree_by_enumeration(c, PT, 3, exhaustive=True)
         assert fast.degree == full.degree, c
+
+
+def _assert_witness_embedded(c, res):
+    assert res.witness.degree == res.degree and res.witness.is_transitive, c
+    e = elevations(c, res.witness, PT)[res.elevation_index]
+    assert self_intersection(EdgePath(e.cover, e.darts)) == 0, c
+
+
+def _assert_matches_oracle(classes, d_max, exhaustive=False):
+    found = 0
+    for c in classes:
+        res = simple_lifting_degree(c, PT, d_max=d_max)
+        oracle = _degree_by_enumeration(c, PT, d_max, exhaustive=exhaustive)
+        assert res.degree == oracle.degree, c
+        if res.found:
+            _assert_witness_embedded(c, res)
+            found += 1
+    return found
+
+
+def test_backtracking_matches_cycle_type_enumeration_every_class():
+    classes = list(_cyclic_classes(8))
+    assert len(classes) == 1386
+    found = _assert_matches_oracle(classes, d_max=4)
+    assert 0 < found < len(classes)
+
+
+def test_backtracking_matches_exhaustive_enumeration_short_classes():
+    _assert_matches_oracle(_cyclic_classes(6), d_max=4, exhaustive=True)
+
+
+def test_backtracking_matches_enumeration_on_long_walks():
+    rng = random.Random(33)
+    letters = alphabet_letters(2)
+    words = []
+    while len(words) < 40:
+        c = cyclic_reduce(Word(tuple(rng.choice(letters) for _ in range(40)), 2))
+        if len(c):
+            words.append(c)
+    found = _assert_matches_oracle(words, d_max=5)
+    assert 0 < found < len(words)
+
+
+def test_deep_walk_needs_no_recursion():
+    # the walk is 201 * 5 = 1005 steps deep, past the default recursion limit
+    c = CyclicWord.from_string(("a" * 200 + "b") * 5, 2)
+    res = simple_lifting_degree(c, PT, d_max=5)
+    assert res.degree == 5 and res.witness.is_transitive
 
 
 def test_degree_one_iff_simple():
@@ -138,11 +187,7 @@ def test_not_found_result():
 
 
 def test_witness_elevation_is_simple():
-    from randcurve.ribbon import elevations
-
     for w in ("aabb", "aa", "aabbab"):
         c = C(w)
         res = simple_lifting_degree(c, PT, d_max=6)
-        els = elevations(c, res.witness, PT)
-        e = els[res.elevation_index]
-        assert self_intersection(EdgePath(e.cover, e.darts)) == 0
+        _assert_witness_embedded(c, res)

@@ -2,14 +2,19 @@ import json
 import math
 import os
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from randcurve.fricke import ParabolicWordError, minimize_length
 from randcurve.stats import (ConfigError, ExperimentConfig,
                              ExperimentTable, RowStats, WalkDistribution,
-                             drift_estimate, fit_log_law, fit_power_law,
-                             random_walk, run_experiment, sample_ball_uniform)
-from randcurve.words import BallSpec, ball_size, sphere_size
+                             _sample_word, drift_estimate, fit_log_law,
+                             fit_power_law, random_walk, run_experiment,
+                             sample_ball_uniform)
+from randcurve.words import BallSpec, CyclicWord, ball_size, cyclic_reduce, sphere_size
 
 
 def test_distribution_validation():
@@ -193,3 +198,52 @@ def test_minimizer_experiment_smoke():
     t = run_experiment(cfg)
     per_n = t.metadata["per_n"]["16"]
     assert per_n["converged"] + per_n["diverged"] + per_n["budget"] <= 8
+
+
+def test_minimizer_experiment_skips_parabolic_walks():
+    # a walk that reduces to a power of the boundary commutator has no
+    # hyperbolic length; find one among the first samples of some seed
+    boundary = {CyclicWord.from_string(s, 2).letters for s in ("abAB", "baBA")}
+    probs = WalkDistribution.uniform(2).probs
+    hit = None
+    for seed in range(100):
+        for idx in range(4):
+            c = cyclic_reduce(_sample_word("walk", 2, probs, 20, seed, idx))
+            if len(c) and c.primitive_root()[0].letters in boundary:
+                hit = seed, idx, c
+                break
+        if hit:
+            break
+    assert hit is not None
+    seed, idx, c = hit
+    with pytest.raises(ParabolicWordError):
+        minimize_length(c)
+    cfg = ExperimentConfig(experiment="minimizer", n_grid=(20,), samples=idx + 1,
+                           seed=seed)
+    t = run_experiment(cfg)
+    assert t.metadata["extras"]["skipped"] >= 1
+    assert [r.n for r in t.rows] == [20]
+    assert t.to_csv().startswith("n,samples,")
+
+
+_HUGE_DEGREE_RUN = """
+import randcurve.covers as covers
+from randcurve.stats import ExperimentConfig, run_experiment
+
+if __debug__:
+    raise SystemExit("assert statements are live: not running under -O")
+covers.simple_lifting_degree = (
+    lambda gamma, g, d_max=6: covers.DegreeSearchResult(10**6, d_max))
+run_experiment(ExperimentConfig(experiment="lifting", n_grid=(8,), samples=4))
+"""
+
+
+def test_invariant_checks_survive_optimize():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", _HUGE_DEGREE_RUN],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "AssertionError: linear degree bound violated" in proc.stderr
