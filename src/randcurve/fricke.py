@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .words import CyclicWord, Word, cyclic_reduce
+from .words import CyclicWord, Word, cyclic_classes, cyclic_reduce
 
 MARKOV_TOL = 1e-9
 GRAD_TOL = 1e-6
@@ -361,27 +361,12 @@ def systole_proxy(p: FrickePoint, l_max: int) -> float:
     word length at most ``l_max``."""
     if l_max < 2:
         raise FrickeError("l_max must be at least 2")
-    from itertools import product as iproduct
-
-    from .words import least_rotation
-
     best = math.inf
-    seen = set()
-    letters = (1, -1, 2, -2)
-    for L in range(1, l_max + 1):
-        for tup in iproduct(letters, repeat=L):
-            if any(tup[i] == -tup[(i + 1) % L] for i in range(L)):
-                continue
-            k = least_rotation(tup)
-            canon = tup[k:] + tup[:k]
-            if canon in seen:
-                continue
-            seen.add(canon)
-            c = CyclicWord(canon, 2)
-            if c.primitive_root()[1] != 1:
-                continue
-            try:
-                best = min(best, geodesic_length(c, p).length)
-            except ParabolicWordError:
-                continue
+    for c in cyclic_classes(l_max, 2):
+        if c.primitive_root()[1] != 1:
+            continue
+        try:
+            best = min(best, geodesic_length(c, p).length)
+        except ParabolicWordError:
+            continue
     return best

@@ -15,14 +15,14 @@ import math
 import random
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 from . import __version__
 from .intersect import EdgePath, intersection, self_intersection, spiraling
 from .ribbon import SURFACE_PRESETS, surface
-from .words import (BallSpec, CyclicWord, Word, alphabet_letters, ball_size,
-                    conjugates_in_ball, cyclic_reduce, least_rotation,
-                    sphere_size)
+from .words import (BallSpec, CyclicWord, Word, WordError, alphabet_letters,
+                    ball_size, conjugates_in_ball, cyclic_classes,
+                    cyclic_reduce, reduce_letters, sphere_size)
 
 
 class ConfigError(ValueError):
@@ -118,17 +118,12 @@ def drift_estimate(mu: WalkDistribution, n: int, samples: int, seed: int) -> Dri
     """Mean of |reduce(w_n)|/n with a normal-approximation interval."""
     if n < 1 or samples < 1:
         raise ConfigError("need n >= 1 and samples >= 1")
+    letters = alphabet_letters(mu.rank)
     vals = []
     for idx in range(samples):
         rng = _rng(seed, "drift", idx)
-        letters = alphabet_letters(mu.rank)
-        stack = []
-        for x in rng.choices(letters, weights=mu.probs, k=n):
-            if stack and stack[-1] == -x:
-                stack.pop()
-            else:
-                stack.append(x)
-        vals.append(len(stack) / n)
+        steps = rng.choices(letters, weights=mu.probs, k=n)
+        vals.append(len(reduce_letters(steps)) / n)
     mean = statistics.fmean(vals)
     sd = statistics.pstdev(vals) if samples > 1 else 0.0
     se = sd / math.sqrt(samples)
@@ -139,9 +134,6 @@ def drift_estimate(mu: WalkDistribution, n: int, samples: int, seed: int) -> Dri
 
 EXPERIMENTS = ("self-int", "fixed-curve-int", "lifting", "spiral", "minimizer",
                "conj-ball")
-
-_CONFIG_KEYS = {"experiment", "sampler", "rank", "surface", "n_grid", "samples",
-                "seed", "d_max", "retain_raw", "jobs", "alpha", "probs"}
 
 
 @dataclass(frozen=True)
@@ -175,6 +167,18 @@ class ExperimentConfig:
         if self.experiment == "lifting" and not mu.is_uniform:
             raise ConfigError("lifting-degree experiments require the uniform "
                               "distribution (equal weight on every generator)")
+        # conj-ball enumerates words of the free group only: no surface
+        surface_rank = surface(self.surface).rank
+        if self.experiment != "conj-ball" and self.rank != surface_rank:
+            raise ConfigError(f"rank {self.rank} does not match surface "
+                              f"{self.surface!r} of rank {surface_rank}")
+        if self.experiment == "fixed-curve-int":
+            try:
+                alpha = CyclicWord.from_string(self.alpha, self.rank)
+            except WordError as exc:
+                raise ConfigError(f"alpha {self.alpha!r}: {exc}") from None
+            if len(alpha) == 0:
+                raise ConfigError(f"alpha {self.alpha!r} is the trivial class")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -192,6 +196,9 @@ class ExperimentConfig:
         if self.probs is None:
             return WalkDistribution.uniform(self.rank)
         return WalkDistribution(self.rank, self.probs)
+
+
+_CONFIG_KEYS = frozenset(f.name for f in fields(ExperimentConfig))
 
 
 @dataclass(frozen=True)
@@ -340,23 +347,8 @@ def _measure_one(args):
 def _run_conj_ball(config: ExperimentConfig) -> ExperimentTable:
     """Exhaustive check of the conjugacy-ball bound over every class with
     ||c|| <= max word length in the grid and every radius n in the grid."""
-    from itertools import product as iproduct
-
     rank = config.rank
-    max_len = max(config.n_grid)
-    letters = alphabet_letters(rank)
-    seen = set()
-    classes = []
-    for L in range(1, max_len + 1):
-        for tup in iproduct(letters, repeat=L):
-            if any(tup[i] == -tup[(i + 1) % L] for i in range(L)):
-                continue
-            k = least_rotation(tup)
-            canon = tup[k:] + tup[:k]
-            if canon in seen:
-                continue
-            seen.add(canon)
-            classes.append(CyclicWord(canon, rank))
+    classes = list(cyclic_classes(max(config.n_grid), rank))
     rows = []
     raw = {}
     violations = 0
@@ -374,7 +366,7 @@ def _run_conj_ball(config: ExperimentConfig) -> ExperimentTable:
             slacks = [0]
         rows.append(_summarize(n, slacks))
         if config.retain_raw:
-            raw[n] = slacks
+            raw[n] = sorted(slacks)
     meta = _metadata(config)
     meta["violations"] = violations
     meta["classes_checked"] = len(classes)

@@ -19,7 +19,7 @@ from .intersect import (EdgePath, brute_min_crossings, intersection,
 from .ribbon import (PermRep, RibbonGraph, cover, elevations, faces,
                      pair_of_pants, punctured_torus, signature)
 from .words import (BallSpec, CyclicWord, Word, alphabet_letters, ball_size,
-                    conjugates_in_ball, cyclic_reduce, least_rotation, reduce,
+                    conjugates_in_ball, cyclic_classes, cyclic_reduce, reduce,
                     satisfies_no_cancellation, sphere_size)
 
 
@@ -31,20 +31,6 @@ def _random_reduced(rng, length, rank=2):
     for _ in range(length - 1):
         word.append(rng.choice([x for x in letters if x != -word[-1]]))
     return tuple(word)
-
-
-def _cyclic_classes(max_len, rank=2):
-    letters = alphabet_letters(rank)
-    seen = set()
-    for L in range(1, max_len + 1):
-        for tup in itertools.product(letters, repeat=L):
-            if any(tup[i] == -tup[(i + 1) % L] for i in range(L)):
-                continue
-            k = least_rotation(tup)
-            canon = tup[k:] + tup[:k]
-            if canon not in seen:
-                seen.add(canon)
-                yield CyclicWord(canon, rank)
 
 
 def verify_words(fast=True):
@@ -62,7 +48,7 @@ def verify_words(fast=True):
         if cyclic_reduce(conj).letters != c.letters:
             return False, "cyclic_reduce not conjugation invariant"
     # rotation invariance of the canonical form
-    for c in itertools.islice(_cyclic_classes(5), 200):
+    for c in itertools.islice(cyclic_classes(5), 200):
         w = c.letters
         for i in range(len(w)):
             rot = Word(w[i:] + w[:i], 2)
@@ -75,7 +61,7 @@ def verify_words(fast=True):
         return False, "rank-1 ball size wrong"
     # no-cancellation <=> exact conjugate length
     max_w = 4 if fast else 5
-    for c in _cyclic_classes(3 if fast else 4):
+    for c in cyclic_classes(3 if fast else 4):
         for lw in range(0, max_w + 1):
             for _ in range(4):
                 w = Word(_random_reduced(rng, lw), 2)
@@ -85,7 +71,7 @@ def verify_words(fast=True):
                         return False, "no-cancellation length formula violated"
     # conjugacy-ball lemma, small grid
     n_max = 6 if fast else 8
-    for c in _cyclic_classes(4):
+    for c in cyclic_classes(4):
         for n in range(len(c), n_max + 1):
             cnt = conjugates_in_ball(c, n)
             bound = n * ball_size(BallSpec(2, (n - len(c)) // 2))
@@ -150,7 +136,7 @@ def verify_intersect(fast=True):
     max_len = 5 if fast else 7
     rng = random.Random(3)
     for g in (pt, pp):
-        for c in _cyclic_classes(max_len):
+        for c in cyclic_classes(max_len):
             p = EdgePath.from_word(c, g)
             si = self_intersection(p)
             bm = brute_min_crossings(p)

@@ -3,6 +3,14 @@
 Letters are nonzero signed integers: generator ``i`` is ``+i``, its inverse
 is ``-i``.  The string form uses ``a..z`` for generators and ``A..Z`` for
 inverses, so ranks up to 26 are supported.
+
+Conjugacy classes are ``CyclicWord``s in least-rotation form.
+``cyclic_classes`` lists every class up to a given length with the
+Fredricksen-Kessler-Maiorana necklace recursion, cut at any prefix holding a
+cancelling pair ``x, -x``, so only canonical representatives are ever built.
+``conjugates_in_ball`` counts a class's elements in a Cayley-graph ball by an
+exhaustive breadth-first search over single-letter conjugations; each step
+reads the reduced conjugate off the two ends of the current element.
 """
 
 from __future__ import annotations
@@ -193,12 +201,11 @@ class CyclicWord:
         n = len(w)
         if n == 0:
             raise WordError("trivial cyclic word has no primitive root")
-        for p in range(1, n + 1):
+        for p in range(1, n):
             if n % p == 0 and w == w[:p] * (n // p):
-                root = w[:p]
-                k = least_rotation(root)
-                return CyclicWord(root[k:] + root[:k], self.rank), n // p
-        raise AssertionError("unreachable")
+                # a period of a least rotation is itself a least rotation
+                return CyclicWord(w[:p], self.rank), n // p
+        return self, 1
 
     def is_primitive_power(self) -> bool:
         return self.primitive_root()[1] == 1
@@ -235,6 +242,43 @@ def cyclic_reduce(w: Word | CyclicWord) -> CyclicWord:
 
 def are_conjugate(u: Word | CyclicWord, v: Word | CyclicWord) -> bool:
     return cyclic_reduce(u).letters == cyclic_reduce(v).letters
+
+
+def cyclic_classes(max_len: int, rank: int = 2):
+    """Every nontrivial conjugacy class of length <= ``max_len``, once.
+
+    Yields canonical ``CyclicWord``s in (length, lexicographic) order.  For
+    each length n this is the Fredricksen-Kessler-Maiorana necklace
+    recursion over the sorted alphabet: a prefix a[1..t] with period p
+    extends by a[t-p] (period kept) or by any larger letter (period t), so
+    only prefixes of least rotations are visited.  Prefixes containing
+    ``x, -x`` are cut; a full prefix is a class when p divides n and its
+    last letter does not cancel its first.
+    """
+    if not 1 <= rank <= MAX_RANK:
+        raise WordError(f"rank must be in 1..{MAX_RANK}, got {rank}")
+    letters = sorted(alphabet_letters(rank))
+    k = len(letters)
+    inv = [letters.index(-x) for x in letters]
+    for n in range(1, max_len + 1):
+        a = [0] * (n + 1)  # a[1..t] is the current prefix, as letter indices
+        per = [1] * (n + 1)  # per[t] is the period of a[1..t]
+        t = 1
+        a[1] = -1
+        while t:
+            v = a[t] + 1
+            if t > 1 and v == inv[a[t - 1]]:
+                v += 1
+            if v >= k:
+                t -= 1
+                continue
+            a[t] = v
+            per[t] = per[t - 1] if v == a[t - per[t - 1]] else t
+            if t < n:
+                t += 1
+                a[t] = a[t - per[t - 1]] - 1
+            elif n % per[n] == 0 and v != inv[a[1]]:
+                yield CyclicWord(tuple(letters[i] for i in a[1:]), rank)
 
 
 @dataclass(frozen=True)
@@ -305,7 +349,9 @@ def conjugates_in_ball(c: CyclicWord, n: int) -> int:
     cyclically reduced representatives (all rotations) and expands by
     single-generator conjugation, pruning anything longer than ``n``.  Every
     conjugate of length <= n is reached through intermediates of
-    non-decreasing length, so the pruning is lossless.
+    non-decreasing length, so the pruning is lossless.  Conjugating a
+    reduced element by ``g`` can only cancel at its two ends, so the reduced
+    conjugate is read off from those ends without a reduction pass.
     """
     if len(c) == 0:
         raise WordError("conjugates_in_ball needs a nontrivial class")
@@ -317,9 +363,18 @@ def conjugates_in_ball(c: CyclicWord, n: int) -> int:
     while frontier:
         nxt = []
         for el in frontier:
+            first, last = el[0], el[-1]
+            grow = len(el) + 2 <= n
             for g in letters:
-                cand = reduce_letters((g,) + el + (-g,))
-                if len(cand) <= n and cand not in seen:
+                if first == -g:
+                    cand = el[1:-1] if last == g else el[1:] + (-g,)
+                elif last == g:
+                    cand = (g,) + el[:-1]
+                elif grow:
+                    cand = (g,) + el + (-g,)
+                else:
+                    continue
+                if cand not in seen:
                     seen.add(cand)
                     nxt.append(cand)
         frontier = nxt

@@ -131,6 +131,19 @@ def test_experiment_unknown_config_key(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--family", "self-int", "--rank", "3"), "does not match surface"),
+    (("--family", "fixed-curve-int", "--alpha", "xyz"), "alpha 'xyz'"),
+    (("--family", "fixed-curve-int", "--alpha", "aA"), "trivial class"),
+])
+def test_experiment_bad_config_fails_before_sampling(capsys, argv, message):
+    code = main(["experiment", *argv, "--n-grid", "6", "--samples", "2"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and message in captured.err
+
+
 def test_experiment_missing_required(capsys):
     code = main(["experiment", "--family", "self-int"])
     assert code == 2

@@ -10,8 +10,8 @@ from randcurve.covers import (Partition, _degree_by_enumeration, hall_count,
                               count_transitive_reps, transitive_reps)
 from randcurve.intersect import EdgePath, self_intersection, spiraling
 from randcurve.ribbon import elevations, punctured_torus
-from randcurve.verify import _cyclic_classes
-from randcurve.words import CyclicWord, Word, alphabet_letters, cyclic_reduce
+from randcurve.words import (CyclicWord, Word, alphabet_letters, cyclic_classes,
+                             cyclic_reduce)
 
 PT = punctured_torus()
 
@@ -120,14 +120,14 @@ def _assert_matches_oracle(classes, d_max, exhaustive=False):
 
 
 def test_backtracking_matches_cycle_type_enumeration_every_class():
-    classes = list(_cyclic_classes(8))
+    classes = list(cyclic_classes(8))
     assert len(classes) == 1386
     found = _assert_matches_oracle(classes, d_max=4)
     assert 0 < found < len(classes)
 
 
 def test_backtracking_matches_exhaustive_enumeration_short_classes():
-    _assert_matches_oracle(_cyclic_classes(6), d_max=4, exhaustive=True)
+    _assert_matches_oracle(cyclic_classes(6), d_max=4, exhaustive=True)
 
 
 def test_backtracking_matches_enumeration_on_long_walks():

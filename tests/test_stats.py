@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -131,6 +132,35 @@ def test_config_validation():
     ExperimentConfig(experiment="lifting", n_grid=(6,), samples=2)
 
 
+def test_config_rejects_rank_not_matching_surface():
+    with pytest.raises(ConfigError, match="does not match surface"):
+        ExperimentConfig(experiment="self-int", n_grid=(6,), samples=2, rank=3)
+    with pytest.raises(ConfigError, match="does not match surface"):
+        ExperimentConfig(experiment="spiral", n_grid=(6,), samples=2,
+                         surface="genus2-boundary1")
+    ExperimentConfig(experiment="self-int", n_grid=(6,), samples=2, rank=4,
+                     surface="genus2-boundary1")
+    # conj-ball works in the free group and ignores the surface
+    ExperimentConfig(experiment="conj-ball", n_grid=(3,), samples=1, rank=3)
+
+
+def test_config_rejects_unparsable_alpha():
+    with pytest.raises(ConfigError, match="alpha 'xyz'"):
+        ExperimentConfig(experiment="fixed-curve-int", n_grid=(6,), samples=2,
+                         alpha="xyz")
+    with pytest.raises(ConfigError, match="alpha 'a1'"):
+        ExperimentConfig(experiment="fixed-curve-int", n_grid=(6,), samples=2,
+                         alpha="a1")
+
+
+def test_config_rejects_trivial_alpha():
+    with pytest.raises(ConfigError, match="trivial class"):
+        ExperimentConfig(experiment="fixed-curve-int", n_grid=(6,), samples=2,
+                         alpha="aA")
+    ExperimentConfig(experiment="fixed-curve-int", n_grid=(6,), samples=2,
+                     alpha="abAB")
+
+
 def test_experiment_reproducible_across_jobs():
     base = dict(experiment="self-int", n_grid=(8, 16), samples=25, seed=4)
     t1 = run_experiment(ExperimentConfig(**base))
@@ -185,6 +215,49 @@ def test_conj_ball_experiment():
     t = run_experiment(cfg)
     assert t.metadata["violations"] == 0
     assert t.metadata["classes_checked"] > 0
+
+
+# Output bytes of the exhaustive conj-ball table.  They depend only on the
+# set of classes and the ball counts, so a faster enumerator or ball count
+# must leave them exactly as they are.
+CONJ_BALL_PINS = [
+    (2, (4, 6, 8),
+     "n,samples,median,q1,q3,mean,max\n"
+     "4,50,1.0,0.0,3.0,4.64,17.0\n"
+     "6,234,1.0,0.0,4.0,8.598290598290598,93.0\n"
+     "8,1386,0.0,0.0,1.0,9.893217893217892,397.0\n",
+     "d66f01e15a58050fe9a51317ce6022068c7b6f586f041c1ff905c2fbc67733ae", 1386),
+    (3, (3, 5),
+     "n,samples,median,q1,q3,mean,max\n"
+     "3,70,0.0,0.0,1.75,1.8857142857142857,16.0\n"
+     "5,868,0.0,0.0,1.0,3.057603686635945,160.0\n",
+     "caf019797f8f073c8765049975343d7c6b7855828ee15ead61cbf0de3bc72e28", 868),
+]
+
+
+@pytest.mark.parametrize("rank, grid, csv, meta_sha256, classes", CONJ_BALL_PINS)
+def test_conj_ball_output_bytes_pinned(tmp_path, rank, grid, csv, meta_sha256,
+                                       classes):
+    cfg = ExperimentConfig(experiment="conj-ball", n_grid=grid, samples=1,
+                           rank=rank)
+    t = run_experiment(cfg)
+    path = os.path.join(tmp_path, "conj.csv")
+    t.save(path)
+    assert open(path, "rb").read() == csv.encode()
+    meta = open(path + ".meta.json", "rb").read()
+    assert hashlib.sha256(meta).hexdigest() == meta_sha256
+    assert t.metadata["classes_checked"] == classes
+    assert t.metadata["violations"] == 0
+
+
+def test_conj_ball_raw_is_sorted():
+    cfg = ExperimentConfig(experiment="conj-ball", n_grid=(5, 7), samples=1,
+                           retain_raw=True)
+    t = run_experiment(cfg)
+    for row in t.rows:
+        raw = t.raw[row.n]
+        assert raw == sorted(raw) and len(raw) == row.samples
+        assert row.max == raw[-1]
 
 
 def test_spiral_experiment_smoke():

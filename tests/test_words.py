@@ -5,9 +5,9 @@ import pytest
 
 from randcurve.words import (Alphabet, BallSpec, CyclicWord, Word, WordError,
                              alphabet_letters, ball_size, are_conjugate,
-                             conjugates_in_ball, cyclic_reduce, letter_counts,
-                             least_rotation, reduce, satisfies_no_cancellation,
-                             sphere_size)
+                             conjugates_in_ball, cyclic_classes, cyclic_reduce,
+                             letter_counts, least_rotation, reduce,
+                             satisfies_no_cancellation, sphere_size)
 
 
 def W(s, rank=2):
@@ -114,6 +114,35 @@ def test_primitive_root():
         CyclicWord((), 2).primitive_root()
 
 
+def test_primitive_root_returns_primitive_word_itself():
+    for c in (C("aab"), C("a"), C("abAB"), C("aabab")):
+        root, k = c.primitive_root()
+        assert root is c and k == 1
+    for s, root_s, k in (("abab", "ab", 2), ("BaBaBa", "Ba", 3), ("AAAA", "A", 4),
+                         ("aabaab", "aab", 2)):
+        root, power = C(s).primitive_root()
+        assert str(root) == root_s and power == k
+        assert root.letters * power == C(s).letters
+
+
+@pytest.mark.parametrize("max_len, rank", [(8, 2), (5, 3), (6, 1)])
+def test_cyclic_classes_vs_product_scan(max_len, rank):
+    got = [c.letters for c in cyclic_classes(max_len, rank)]
+    assert len(got) == len(set(got))
+    assert set(got) == {c.letters for c in all_cyclic_classes(max_len, rank)}
+    assert got == sorted(got, key=lambda w: (len(w), w))
+    for w in got:
+        assert least_rotation(w) == 0
+        assert all(w[i] != -w[(i + 1) % len(w)] for i in range(len(w)))
+
+
+def test_cyclic_classes_edge_cases():
+    assert list(cyclic_classes(0)) == []
+    assert [str(c) for c in cyclic_classes(2, 1)] == ["A", "a", "AA", "aa"]
+    with pytest.raises(WordError):
+        list(cyclic_classes(3, 0))
+
+
 def test_ball_and_sphere_sizes():
     assert sphere_size(BallSpec(2, 2)) == 12
     assert ball_size(BallSpec(2, 2)) == 17
@@ -187,9 +216,10 @@ def test_conjugates_in_ball_examples():
 
 
 def test_conjugates_in_ball_vs_formula():
-    for c in all_cyclic_classes(4):
-        for n in range(0, 9):
-            assert conjugates_in_ball(c, n) == _conjugates_formula(c, n)
+    for rank, max_len, n_max in ((2, 6, 12), (3, 3, 7)):
+        for c in all_cyclic_classes(max_len, rank):
+            for n in range(0, n_max + 1):
+                assert conjugates_in_ball(c, n) == _conjugates_formula(c, n)
 
 
 def test_conjugates_in_ball_lemma_bound_small():
