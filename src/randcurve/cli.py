@@ -20,9 +20,8 @@ from .stats import (ExperimentConfig, WalkDistribution, drift_estimate,
 from .words import CyclicWord, Word, cyclic_reduce, reduce
 
 
-def _add_surface(p):
-    p.add_argument("--surface", default="punctured-torus",
-                   choices=sorted(SURFACE_PRESETS))
+def _add_surface(p, default="punctured-torus"):
+    p.add_argument("--surface", default=default, choices=sorted(SURFACE_PRESETS))
 
 
 def _parse_config_file(path: str) -> dict:
@@ -105,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--rank", type=int, default=None)
-    _add_surface(p)
+    _add_surface(p, default=None)
     p.add_argument("--dmax", type=int, default=None)
     p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--alpha", default=None)
@@ -119,39 +118,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_experiment(args) -> int:
-    cfg: dict = {}
-    if args.config:
-        raw = _parse_config_file(args.config)
-        for key, val in raw.items():
-            if key in ("experiment", "family"):
-                cfg["experiment"] = val
-            elif key == "n_grid":
-                cfg["n_grid"] = tuple(int(v) for v in val.replace(",", " ").split())
-            elif key in ("samples", "seed", "rank", "d_max", "dmax", "jobs"):
-                cfg["d_max" if key == "dmax" else key] = int(val)
-            elif key == "retain_raw":
-                cfg["retain_raw"] = val.lower() in ("1", "true", "yes")
-            elif key in ("sampler", "surface", "alpha"):
-                cfg[key] = val
-            elif key == "probs":
-                cfg["probs"] = tuple(float(v) for v in val.replace(",", " ").split())
-            else:
-                cfg[key] = val  # rejected downstream by from_dict
-    if args.family is not None:
-        cfg["experiment"] = args.family
-    if args.n_grid is not None:
-        cfg["n_grid"] = tuple(int(v) for v in args.n_grid.split(","))
-    for key in ("sampler", "samples", "seed", "rank", "jobs", "alpha"):
-        val = getattr(args, key)
-        if val is not None:
-            cfg[key] = val
-    if args.surface != "punctured-torus" or "surface" not in cfg:
-        cfg["surface"] = args.surface
-    if args.dmax is not None:
-        cfg["d_max"] = args.dmax
-    if args.retain_raw:
-        cfg["retain_raw"] = True
-    cfg.setdefault("seed", 0)
+    cfg = _parse_config_file(args.config) if args.config else {}
+    for alias, key in (("family", "experiment"), ("dmax", "d_max")):
+        if alias in cfg:
+            cfg[key] = cfg.pop(alias)
+    flags = {"experiment": args.family, "sampler": args.sampler,
+             "n_grid": args.n_grid, "samples": args.samples, "seed": args.seed,
+             "rank": args.rank, "surface": args.surface, "d_max": args.dmax,
+             "jobs": args.jobs, "alpha": args.alpha,
+             "retain_raw": args.retain_raw or None}
+    cfg.update((key, val) for key, val in flags.items() if val is not None)
     if "experiment" not in cfg or "n_grid" not in cfg or "samples" not in cfg:
         print("experiment needs --family, --n-grid and --samples "
               "(or a --config supplying them)", file=sys.stderr)

@@ -25,7 +25,8 @@ from itertools import permutations, product
 from math import factorial
 
 from .intersect import EdgePath, linked_pair_matrix
-from .ribbon import PermRep, RibbonGraph, perm_cycles
+from .ribbon import (PermRep, RibbonGraph, perm_cycles, perm_inverse,
+                     perm_orbit_count)
 from .words import CyclicWord, WordError
 
 
@@ -128,25 +129,6 @@ def mednykh_count(g: int, d: int) -> int:
 
 # --- enumeration ------------------------------------------------------------
 
-def _tuple_transitive(perms, d: int) -> bool:
-    parent = list(range(d))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    comps = d
-    for p in perms:
-        for i, v in enumerate(p):
-            ra, rb = find(i), find(v)
-            if ra != rb:
-                parent[ra] = rb
-                comps -= 1
-    return comps == 1
-
-
 def transitive_reps(rank, d: int, closed_genus: int | None = None):
     """Yield every transitive PermRep of the given degree.
 
@@ -169,7 +151,7 @@ def transitive_reps(rank, d: int, closed_genus: int | None = None):
         raise ValueError("degree must be positive")
     perms = list(permutations(range(d)))
     for tup in product(perms, repeat=rank):
-        if not _tuple_transitive(tup, d):
+        if perm_orbit_count(d, tup) != 1:
             continue
         rep = PermRep(d, tup)
         if closed_genus is not None and not rep.satisfies_closed_relation(closed_genus):
@@ -197,7 +179,7 @@ def subgroup_class_count(rank: int, d: int, closed_genus: int | None = None) -> 
     seen = set()
     classes = 0
     perms = list(permutations(range(d)))
-    inv = {p: tuple(sorted(range(d), key=lambda i: p[i])) for p in perms}
+    inv = {p: perm_inverse(p) for p in perms}
     for rep in transitive_reps(rank, d, closed_genus):
         key = rep.images
         if key in seen:
@@ -346,14 +328,7 @@ def _cycle_type_reps(d: int):
         yield tuple(p)
 
 
-def _inverse_perm(p):
-    q = [0] * len(p)
-    for i, v in enumerate(p):
-        q[v] = i
-    return tuple(q)
-
-
-def _simple_elevation_sheet(tup, letters, power, linked_rows, d: int) -> int | None:
+def _simple_elevation_sheet(rep: PermRep, letters, power, linked_rows) -> int | None:
     """Sheet starting an embedded elevation of root^power, else None.
 
     An elevation of the power is an honest embedded circle exactly when the
@@ -363,42 +338,21 @@ def _simple_elevation_sheet(tup, letters, power, linked_rows, d: int) -> int | N
     cover is ever built.
     """
     L = len(letters)
-    step = {}
-    for x in set(letters):
-        step[x] = tup[x - 1] if x > 0 else _inverse_perm(tup[-x - 1])
-    root_perm = list(range(d))
-    for x in letters:
-        p = step[x]
-        root_perm = [p[s] for s in root_perm]
-    seen = [False] * d
-    for s0 in range(d):
-        if seen[s0]:
-            continue
-        cycle_len = 1
-        seen[s0] = True
-        s = root_perm[s0]
-        while s != s0:
-            seen[s] = True
-            cycle_len += 1
-            s = root_perm[s]
-        if cycle_len % power != 0:
+    steps = [rep.perm(x) for x in letters]
+    for cyc in perm_cycles(rep.perm_of(letters)):
+        if len(cyc) % power != 0:
             continue
         by_sheet = {}
-        simple = True
-        s = s0
-        for _ in range(cycle_len):
-            for i in range(L):
-                rows = by_sheet.setdefault(s, [])
-                row = linked_rows[i]
-                if any(row[j] for j in rows):
-                    simple = False
-                    break
-                rows.append(i)
-                s = step[letters[i]][s]
-            if not simple:
+        s = cyc[0]
+        for k in range(len(cyc) * L):
+            i = k % L
+            rows = by_sheet.setdefault(s, [])
+            if any(linked_rows[i][j] for j in rows):
                 break
-        if simple:
-            return s0
+            rows.append(i)
+            s = steps[i][s]
+        else:
+            return cyc[0]
     return None
 
 
@@ -425,11 +379,11 @@ def _degree_by_enumeration(gamma: CyclicWord, g: RibbonGraph, d_max: int,
         for p0 in first:
             for rest in product(perms, repeat=rank - 1):
                 tup = (p0,) + rest
-                if not _tuple_transitive(tup, d):
+                if perm_orbit_count(d, tup) != 1:
                     continue
-                sheet = _simple_elevation_sheet(tup, letters, power, linked, d)
+                rep = PermRep(d, tup)
+                sheet = _simple_elevation_sheet(rep, letters, power, linked)
                 if sheet is not None:
-                    rep = PermRep(d, tup)
                     gamma_perm = rep.perm_of(gamma.letters)
                     idx = next(i for i, cyc in enumerate(perm_cycles(gamma_perm))
                                if sheet in cyc)

@@ -322,7 +322,8 @@ def _chord_positions(paths, g, heights):
         for t in range(len(path.darts)):
             vi, a = endpoint_pos[(pi, t, 0)]
             vj, b = endpoint_pos[(pi, t, 1)]
-            assert vi == vj
+            if vi != vj:
+                raise AssertionError(f"chord {t} of path {pi} joins two vertices")
             chords_by_vertex.setdefault(vi, []).append((min(a, b), max(a, b)))
     return chords_by_vertex
 

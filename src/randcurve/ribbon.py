@@ -29,6 +29,55 @@ class SurfaceSignature:
         return 2 - 2 * self.genus - self.boundary_count
 
 
+# --- permutations of 0..n-1 as tuples of images ---------------------------
+
+def perm_cycles(p: tuple[int, ...]) -> list[list[int]]:
+    """Cycles of ``p``, each starting at its least point, in order of that
+    point."""
+    seen = [False] * len(p)
+    out = []
+    for i in range(len(p)):
+        if seen[i]:
+            continue
+        cyc = [i]
+        seen[i] = True
+        j = p[i]
+        while j != i:
+            seen[j] = True
+            cyc.append(j)
+            j = p[j]
+        out.append(cyc)
+    return out
+
+
+def perm_inverse(p: tuple[int, ...]) -> tuple[int, ...]:
+    q = [0] * len(p)
+    for i, v in enumerate(p):
+        q[v] = i
+    return tuple(q)
+
+
+def perm_orbit_count(n: int, perms) -> int:
+    """Number of orbits of the group generated by ``perms`` on 0..n-1
+    (union-find over the pairs i, p[i])."""
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    count = n
+    for p in perms:
+        for i, v in enumerate(p):
+            ra, rb = find(i), find(v)
+            if ra != rb:
+                parent[ra] = rb
+                count -= 1
+    return count
+
+
 @dataclass(frozen=True)
 class PermRep:
     """Assignment of a permutation of {0..d-1} to each generator.
@@ -53,13 +102,7 @@ class PermRep:
 
     @cached_property
     def _inverses(self) -> tuple[tuple[int, ...], ...]:
-        out = []
-        for p in self.images:
-            q = [0] * self.degree
-            for i, v in enumerate(p):
-                q[v] = i
-            out.append(tuple(q))
-        return tuple(out)
+        return tuple(perm_inverse(p) for p in self.images)
 
     def perm(self, letter: int) -> tuple[int, ...]:
         if letter > 0:
@@ -79,34 +122,10 @@ class PermRep:
 
     @cached_property
     def is_transitive(self) -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            s = stack.pop()
-            for p in self.images:
-                for t in (p[s], self._inverses[self.images.index(p)][s]):
-                    if t not in seen:
-                        seen.add(t)
-                        stack.append(t)
-            if len(seen) == self.degree:
-                return True
-        return len(seen) == self.degree
+        return self.orbit_count() == 1
 
     def orbit_count(self) -> int:
-        parent = list(range(self.degree))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for p in self.images:
-            for i, v in enumerate(p):
-                ra, rb = find(i), find(v)
-                if ra != rb:
-                    parent[ra] = rb
-        return len({find(i) for i in range(self.degree)})
+        return perm_orbit_count(self.degree, self.images)
 
     def satisfies_closed_relation(self, genus: int) -> bool:
         """Whether the images satisfy the genus-g surface relation.
@@ -116,48 +135,13 @@ class PermRep:
         """
         if self.rank != 2 * genus:
             raise RibbonError("closed relation needs rank == 2*genus")
-        cur = list(range(self.degree))
-        for k in range(genus):
-            relator = (2 * k + 1, 2 * k + 2, -(2 * k + 1), -(2 * k + 2))
-            for x in relator:
-                p = self.perm(x)
-                cur = [p[s] for s in cur]
-        return cur == list(range(self.degree))
+        relator = [x for k in range(1, 2 * genus, 2) for x in (k, k + 1, -k, -k - 1)]
+        return self.perm_of(relator) == tuple(range(self.degree))
 
     def cycle_notation(self, letter: int) -> str:
-        p = self.perm(letter)
-        seen = [False] * self.degree
-        parts = []
-        for i in range(self.degree):
-            if seen[i]:
-                continue
-            cyc = [i]
-            seen[i] = True
-            j = p[i]
-            while j != i:
-                seen[j] = True
-                cyc.append(j)
-                j = p[j]
-            if len(cyc) > 1:
-                parts.append("(" + " ".join(str(v + 1) for v in cyc) + ")")
-        return "".join(parts) if parts else "()"
-
-
-def perm_cycles(p: tuple[int, ...]) -> list[list[int]]:
-    seen = [False] * len(p)
-    out = []
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        cyc = [i]
-        seen[i] = True
-        j = p[i]
-        while j != i:
-            seen[j] = True
-            cyc.append(j)
-            j = p[j]
-        out.append(cyc)
-    return out
+        parts = ["(" + " ".join(str(v + 1) for v in cyc) + ")"
+                 for cyc in perm_cycles(self.perm(letter)) if len(cyc) > 1]
+        return "".join(parts) or "()"
 
 
 class RibbonGraph:
@@ -335,20 +319,8 @@ def surface(name: str) -> RibbonGraph:
 
 
 def components(g: RibbonGraph) -> int:
-    n = g.vertex_count
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for d in range(g.dart_count):
-        ra, rb = find(g.vertex_of[d]), find(g.vertex_of[g.pair[d]])
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(i) for i in range(n)})
+    """Connected components: the dart orbits of <nxt, pair>."""
+    return perm_orbit_count(g.dart_count, (g.nxt, g.pair))
 
 
 def faces(g: RibbonGraph) -> tuple[tuple[int, ...], ...]:
@@ -434,7 +406,8 @@ def elevations(gamma: CyclicWord, phi: PermRep, base: RibbonGraph) -> list[Eleva
             for x in gamma.letters:
                 darts.append(base.dart_for_letter(x) * d + s)
                 s = phi.act(s, x)
-        assert s == s0
+        if s != s0:
+            raise AssertionError(f"elevation from sheet {s0} did not close up")
         out.append(Elevation(s0, k, tuple(darts), cov))
     return out
 

@@ -2,8 +2,8 @@
 and scaling-law fits.
 
 Reproducibility contract: every sample draws from its own RNG seeded by
-(master seed, sample index), so results are bit-identical regardless of
-worker count or scheduling.
+(master seed, sampler, n, sample index), so results are bit-identical
+regardless of worker count or scheduling.
 """
 
 from __future__ import annotations
@@ -14,8 +14,10 @@ import json
 import math
 import random
 import statistics
+import types
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, asdict
 
 from . import __version__
 from .intersect import EdgePath, intersection, self_intersection, spiraling
@@ -70,40 +72,50 @@ class WalkDistribution:
                    for i in range(1, self.rank + 1))
 
 
-def random_walk(mu: WalkDistribution, n: int, seed: int) -> Word:
-    """Word of n i.i.d. letters drawn from ``mu`` (not reduced)."""
-    if n < 0:
-        raise ConfigError("walk length must be nonnegative")
-    rng = _rng(seed, "walk")
-    letters = alphabet_letters(mu.rank)
-    if n == 0:
-        return Word((), mu.rank)
-    draws = rng.choices(letters, weights=mu.probs, k=n)
-    return Word(tuple(draws), mu.rank)
+def uniform_reduced_word(rng: random.Random, rank: int, length: int) -> Word:
+    """Uniform reduced word of the given length: a uniform first letter, then
+    at each step a uniform letter among the 2r-1 that do not cancel."""
+    if length == 0:
+        return Word((), rank)
+    letters = alphabet_letters(rank)
+    after = {x: [y for y in letters if y != -x] for x in letters}
+    word = [letters[rng.randrange(2 * rank)]]
+    for _ in range(length - 1):
+        word.append(after[word[-1]][rng.randrange(2 * rank - 1)])
+    return Word(tuple(word), rank)
 
 
-def sample_ball_uniform(rank: int, n: int, seed: int) -> Word:
-    """Exactly uniform element of the radius-n ball: pick the length k with
-    probability |S_k|/|B_n|, then a uniform reduced word of that length."""
-    if rank < 2:
-        raise ConfigError("ball sampling needs rank >= 2")
-    rng = _rng(seed, "ball")
+def sample_word(rng: random.Random, sampler: str, rank: int, probs, n: int) -> Word:
+    """One word drawn from ``rng``.
+
+    ``walk``: n i.i.d. letters with weights ``probs`` in the letter order
+    (1..r, -1..-r), not reduced.  ``ball``: an exactly uniform element of
+    the radius-n ball, its length k drawn with probability |S_k|/|B_n|;
+    ``probs`` is ignored.
+    """
+    if sampler == "walk":
+        return Word(tuple(rng.choices(alphabet_letters(rank), weights=probs, k=n)), rank)
     cum = []
     total = 0
     for k in range(n + 1):
         total += sphere_size(BallSpec(rank, k))
         cum.append(total)
-    u = rng.randrange(total)
-    k = bisect.bisect_right(cum, u)
-    if k == 0:
-        return Word((), rank)
-    letters = alphabet_letters(rank)
-    first = rng.randrange(2 * rank)
-    word = [letters[first]]
-    for _ in range(k - 1):
-        choices = [x for x in letters if x != -word[-1]]
-        word.append(choices[rng.randrange(2 * rank - 1)])
-    return Word(tuple(word), rank)
+    k = bisect.bisect_right(cum, rng.randrange(total))
+    return uniform_reduced_word(rng, rank, k)
+
+
+def random_walk(mu: WalkDistribution, n: int, seed: int) -> Word:
+    """Word of n i.i.d. letters drawn from ``mu`` (not reduced)."""
+    if n < 0:
+        raise ConfigError("walk length must be nonnegative")
+    return sample_word(_rng(seed, "walk"), "walk", mu.rank, mu.probs, n)
+
+
+def sample_ball_uniform(rank: int, n: int, seed: int) -> Word:
+    """Exactly uniform element of the radius-n ball."""
+    if rank < 2:
+        raise ConfigError("ball sampling needs rank >= 2")
+    return sample_word(_rng(seed, "ball"), "ball", rank, None, n)
 
 
 @dataclass(frozen=True)
@@ -118,12 +130,10 @@ def drift_estimate(mu: WalkDistribution, n: int, samples: int, seed: int) -> Dri
     """Mean of |reduce(w_n)|/n with a normal-approximation interval."""
     if n < 1 or samples < 1:
         raise ConfigError("need n >= 1 and samples >= 1")
-    letters = alphabet_letters(mu.rank)
     vals = []
     for idx in range(samples):
-        rng = _rng(seed, "drift", idx)
-        steps = rng.choices(letters, weights=mu.probs, k=n)
-        vals.append(len(reduce_letters(steps)) / n)
+        w = sample_word(_rng(seed, "drift", idx), "walk", mu.rank, mu.probs, n)
+        vals.append(len(reduce_letters(w.letters)) / n)
     mean = statistics.fmean(vals)
     sd = statistics.pstdev(vals) if samples > 1 else 0.0
     se = sd / math.sqrt(samples)
@@ -182,15 +192,18 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        unknown = set(d) - _CONFIG_KEYS
+        """Config from a mapping whose values may be strings, as a config
+        file or a flag gives them; each is coerced by its field's type."""
+        unknown = set(d) - set(_FIELD_TYPES)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        d = dict(d)
-        if "n_grid" in d:
-            d["n_grid"] = tuple(int(v) for v in d["n_grid"])
-        if "probs" in d and d["probs"] is not None:
-            d["probs"] = tuple(float(v) for v in d["probs"])
-        return cls(**d)
+        kwargs = {}
+        for key, value in d.items():
+            try:
+                kwargs[key] = _coerce(_FIELD_TYPES[key], value)
+            except (KeyError, TypeError, ValueError):
+                raise ConfigError(f"config key {key}: cannot read {value!r}") from None
+        return cls(**kwargs)
 
     def distribution(self) -> WalkDistribution:
         if self.probs is None:
@@ -198,7 +211,27 @@ class ExperimentConfig:
         return WalkDistribution(self.rank, self.probs)
 
 
-_CONFIG_KEYS = frozenset(f.name for f in fields(ExperimentConfig))
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+_BOOL_WORDS = {"1": True, "true": True, "yes": True,
+               "0": False, "false": False, "no": False}
+
+
+def _coerce(tp, value):
+    """``value`` as type ``tp``: int, bool (1/true/yes, 0/false/no), str, a
+    tuple of int or float (a string is split on commas and spaces), or an
+    optional one of these."""
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is types.UnionType:
+        if value is None:
+            return None
+        (tp,) = (a for a in args if a is not type(None))
+        return _coerce(tp, value)
+    if typing.get_origin(tp) is tuple:
+        items = value.replace(",", " ").split() if isinstance(value, str) else value
+        return tuple(args[0](v) for v in items)
+    if tp is bool:
+        return _BOOL_WORDS[str(value).strip().lower()]
+    return tp(value)
 
 
 @dataclass(frozen=True)
@@ -244,29 +277,17 @@ def _summarize(n: int, values) -> RowStats:
 
 
 def _sample_word(cfg_sampler, rank, probs, n, seed, index) -> Word:
-    if cfg_sampler == "walk":
-        mu = WalkDistribution(rank, probs)
-        letters = alphabet_letters(rank)
-        rng = _rng(seed, "walk", n, index)
-        return Word(tuple(rng.choices(letters, weights=mu.probs, k=n)), rank)
-    rng_seed_key = ("ball", n, index)
-    rng = _rng(seed, *rng_seed_key)
-    # inline exact ball sampling with the per-sample stream
-    cum = []
-    total = 0
-    for k in range(n + 1):
-        total += sphere_size(BallSpec(rank, k))
-        cum.append(total)
-    u = rng.randrange(total)
-    k = bisect.bisect_right(cum, u)
-    if k == 0:
-        return Word((), rank)
-    letters = alphabet_letters(rank)
-    word = [letters[rng.randrange(2 * rank)]]
-    for _ in range(k - 1):
-        choices = [x for x in letters if x != -word[-1]]
-        word.append(choices[rng.randrange(2 * rank - 1)])
-    return Word(tuple(word), rank)
+    """The word of sample ``index`` at radius ``n``, from its own RNG stream."""
+    return sample_word(_rng(seed, cfg_sampler, n, index), cfg_sampler, rank, probs, n)
+
+
+def _max_spiraling(gamma: CyclicWord, rank: int, g) -> int:
+    """Largest spiraling of ``gamma`` around a generator other than its own
+    primitive root (0 if there is none)."""
+    root = gamma.primitive_root()[0].letters
+    return max((spiraling(gamma, CyclicWord((j,), rank), g)
+                for j in range(1, rank + 1) if root not in ((j,), (-j,))),
+               default=0)
 
 
 def _measure_one(args):
@@ -308,21 +329,12 @@ def _measure_one(args):
             out["deg_len_ratio"] = res.degree / len(gamma)
         out["found"] = res.found
         out["self_int"] = i
-        sp = max(spiraling(gamma, CyclicWord((j,), rank), g)
-                 for j in range(1, rank + 1)
-                 if gamma.primitive_root()[0].letters not in
-                 ((j,), (-j,)))
+        sp = _max_spiraling(gamma, rank, g)
         out["spiral"] = sp
         if res.found and res.degree < sp:
             raise AssertionError("spiraling lower bound violated")
     elif family == "spiral":
-        best = 0
-        for j in range(1, rank + 1):
-            root = gamma.primitive_root()[0].letters
-            if root in ((j,), (-j,)):
-                continue
-            best = max(best, spiraling(gamma, CyclicWord((j,), rank), g))
-        out["value"] = best
+        out["value"] = _max_spiraling(gamma, rank, g)
     elif family == "minimizer":
         from .fricke import (ParabolicWordError, distance_proxy, minimize_length,
                              rose_minimizer)

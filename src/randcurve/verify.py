@@ -18,19 +18,12 @@ from .intersect import (EdgePath, brute_min_crossings, intersection,
                         self_intersection, spiraling)
 from .ribbon import (PermRep, RibbonGraph, cover, elevations, faces,
                      pair_of_pants, punctured_torus, signature)
+from .stats import (ExperimentConfig, WalkDistribution, drift_estimate,
+                    random_walk, run_experiment, sample_ball_uniform,
+                    uniform_reduced_word)
 from .words import (BallSpec, CyclicWord, Word, alphabet_letters, ball_size,
                     conjugates_in_ball, cyclic_classes, cyclic_reduce, reduce,
                     satisfies_no_cancellation, sphere_size)
-
-
-def _random_reduced(rng, length, rank=2):
-    letters = alphabet_letters(rank)
-    if length == 0:
-        return ()
-    word = [rng.choice(letters)]
-    for _ in range(length - 1):
-        word.append(rng.choice([x for x in letters if x != -word[-1]]))
-    return tuple(word)
 
 
 def verify_words(fast=True):
@@ -43,7 +36,7 @@ def verify_words(fast=True):
         if reduce(r).letters != r.letters:
             return False, "reduce not idempotent"
         c = cyclic_reduce(w)
-        u = Word(_random_reduced(rng, rng.randrange(6)), 2)
+        u = uniform_reduced_word(rng, 2, rng.randrange(6))
         conj = u.concat(w).concat(u.inverse())
         if cyclic_reduce(conj).letters != c.letters:
             return False, "cyclic_reduce not conjugation invariant"
@@ -64,7 +57,7 @@ def verify_words(fast=True):
     for c in cyclic_classes(3 if fast else 4):
         for lw in range(0, max_w + 1):
             for _ in range(4):
-                w = Word(_random_reduced(rng, lw), 2)
+                w = uniform_reduced_word(rng, 2, lw)
                 full = w.concat(Word(c.letters, 2)).concat(w.inverse())
                 if satisfies_no_cancellation(w, c):
                     if len(reduce(full)) != 2 * len(w) + len(c):
@@ -118,7 +111,7 @@ def verify_ribbon(fast=True):
     for _ in range(20):
         d = rng.choice((2, 3))
         phi = PermRep(d, (rng.choice(perms[d]), rng.choice(perms[d])))
-        c = cyclic_reduce(Word(_random_reduced(rng, rng.randrange(1, 6)), 2))
+        c = cyclic_reduce(uniform_reduced_word(rng, 2, rng.randrange(1, 6)))
         if len(c) == 0:
             continue
         els = elevations(c, phi, pt)
@@ -146,7 +139,7 @@ def verify_intersect(fast=True):
                 return False, f"quadratic bound violated at {c}"
     # invariance under rotation, inversion, relabeling
     for _ in range(60):
-        c = cyclic_reduce(Word(_random_reduced(rng, rng.randrange(2, 9)), 2))
+        c = cyclic_reduce(uniform_reduced_word(rng, 2, rng.randrange(2, 9)))
         if len(c) == 0:
             continue
         p = EdgePath.from_word(c, pt)
@@ -164,8 +157,8 @@ def verify_intersect(fast=True):
             return False, "not relabeling invariant"
     # symmetry of intersection
     for _ in range(30):
-        u = cyclic_reduce(Word(_random_reduced(rng, rng.randrange(1, 7)), 2))
-        v = cyclic_reduce(Word(_random_reduced(rng, rng.randrange(1, 7)), 2))
+        u = cyclic_reduce(uniform_reduced_word(rng, 2, rng.randrange(1, 7)))
+        v = cyclic_reduce(uniform_reduced_word(rng, 2, rng.randrange(1, 7)))
         if len(u) == 0 or len(v) == 0:
             continue
         pu, pv = EdgePath.from_word(u, pt), EdgePath.from_word(v, pt)
@@ -202,7 +195,7 @@ def verify_covers(fast=True):
     pt = punctured_torus()
     rng = random.Random(4)
     for _ in range(10 if fast else 25):
-        c = cyclic_reduce(Word(_random_reduced(rng, rng.randrange(1, 7)), 2))
+        c = cyclic_reduce(uniform_reduced_word(rng, 2, rng.randrange(1, 7)))
         if len(c) == 0:
             continue
         res = simple_lifting_degree(c, pt, d_max=4)
@@ -241,14 +234,14 @@ def verify_fricke(fast=True):
             return False, "trace identity violated"
     # conjugation/inversion invariance of length and relabeling equivariance
     for _ in range(40):
-        w = Word(_random_reduced(rng, rng.randrange(1, 9)), 2)
+        w = uniform_reduced_word(rng, 2, rng.randrange(1, 9))
         c = cyclic_reduce(w)
         if len(c) == 0:
             continue
         p = pts[0]
         try:
             l0 = geodesic_length(c, p).length
-            u = Word(_random_reduced(rng, 3), 2)
+            u = uniform_reduced_word(rng, 2, 3)
             l1 = geodesic_length(u.concat(w).concat(u.inverse()), p).length
             l2 = geodesic_length(c.inverse(), p).length
         except Exception:
@@ -279,9 +272,6 @@ def verify_fricke(fast=True):
 
 
 def verify_stats(fast=True):
-    from .stats import (ExperimentConfig, WalkDistribution, drift_estimate,
-                        random_walk, run_experiment, sample_ball_uniform)
-
     mu = WalkDistribution.uniform(2)
     if random_walk(mu, 50, 9).letters != random_walk(mu, 50, 9).letters:
         return False, "walk not deterministic"

@@ -1,4 +1,5 @@
 import io
+import json
 import os
 from contextlib import redirect_stdout
 
@@ -120,6 +121,28 @@ def test_experiment_config_file(tmp_path):
     code2, out2 = run_cli("experiment", "--config", cfg, "--samples", "4")
     assert code2 == 0 and out1 != out2
     assert "samples" in out1.splitlines()[0]
+
+
+def test_experiment_surface_flag_overrides_config_file(tmp_path):
+    cfg = os.path.join(tmp_path, "exp.cfg")
+    with open(cfg, "w") as fh:
+        fh.write("family = self-int\nn_grid = 6\nsamples = 2\n"
+                 "surface = pair-of-pants\nretain_raw = false\n")
+    out = os.path.join(tmp_path, "t.csv")
+    code = main(["experiment", "--config", cfg, "--surface", "punctured-torus",
+                 "--out", out])
+    assert code == 0
+    meta = json.load(open(out + ".meta.json"))
+    assert meta["surface"] == "punctured-torus" and meta["retain_raw"] is False
+    # without the flag the file's surface holds
+    code = main(["experiment", "--config", cfg, "--out", out])
+    assert code == 0
+    assert json.load(open(out + ".meta.json"))["surface"] == "pair-of-pants"
+    # and without either, the preset default
+    code = main(["experiment", "--family", "self-int", "--n-grid", "6",
+                 "--samples", "2", "--out", out])
+    assert code == 0
+    assert json.load(open(out + ".meta.json"))["surface"] == "punctured-torus"
 
 
 def test_experiment_unknown_config_key(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from randcurve.ribbon import (PermRep, RibbonGraph, RibbonError, SurfaceSignature,
                               boundary_words, components, cover, elevations,
                               faces, genus2_boundary1, pair_of_pants,
+                              perm_cycles, perm_inverse, perm_orbit_count,
                               project_elevation, punctured_torus, signature,
                               surface)
 from randcurve.words import CyclicWord
@@ -141,3 +142,60 @@ def test_surface_preset_lookup():
     assert surface("punctured-torus").rank == 2
     with pytest.raises(RibbonError):
         surface("klein-bottle")
+
+
+def _orbits_by_closure(n, perms):
+    """Orbits as sets: grow each point's set by images and preimages under
+    every permutation until it stops growing."""
+    orbits = set()
+    for start in range(n):
+        orbit = {start}
+        while True:
+            grown = orbit | {p[i] for p in perms for i in orbit} | {
+                i for p in perms for i in range(n) if p[i] in orbit}
+            if grown == orbit:
+                break
+            orbit = grown
+        orbits.add(frozenset(orbit))
+    return orbits
+
+
+def _perm_from_cycle_notation(text, d):
+    p = list(range(d))
+    for part in text.strip("()").split(")("):
+        cyc = [int(v) - 1 for v in part.split()]
+        for k, v in enumerate(cyc):
+            p[v] = cyc[(k + 1) % len(cyc)]
+    return tuple(p)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_permutation_helpers_vs_closure(d):
+    perms = list(itertools.permutations(range(d)))
+    identity = tuple(range(d))
+    for p in perms:
+        q = perm_inverse(p)
+        assert all(q[p[i]] == i for i in range(d))
+        cycles = perm_cycles(p)
+        assert sorted(v for c in cycles for v in c) == list(identity)
+        assert [c[0] for c in cycles] == sorted(min(c) for c in cycles)
+        for c in cycles:
+            assert all(p[c[k]] == c[(k + 1) % len(c)] for k in range(len(c)))
+    for tup in itertools.product(perms, repeat=2):
+        orbits = _orbits_by_closure(d, tup)
+        rep = PermRep(d, tup)
+        assert perm_orbit_count(d, tup) == rep.orbit_count() == len(orbits)
+        assert rep.is_transitive == (len(orbits) == 1)
+        for x in (1, 2):
+            assert rep.perm_of((x, -x)) == rep.perm_of((-x, x)) == identity
+            assert _perm_from_cycle_notation(rep.cycle_notation(x), d) == tup[x - 1]
+
+
+def test_components_of_every_small_cover_are_orbits():
+    pt = punctured_torus()
+    for d in (1, 2, 3):
+        perms = list(itertools.permutations(range(d)))
+        for tup in itertools.product(perms, repeat=2):
+            phi = PermRep(d, tup)
+            assert components(cover(pt, phi)) == phi.orbit_count()
+    assert components(pair_of_pants()) == components(genus2_boundary1()) == 1

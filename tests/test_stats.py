@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -130,6 +131,25 @@ def test_config_validation():
         ExperimentConfig(experiment="lifting", n_grid=(6,), samples=2,
                          probs=(0.4, 0.1, 0.4, 0.1))
     ExperimentConfig(experiment="lifting", n_grid=(6,), samples=2)
+
+
+def test_from_dict_coerces_strings_by_field_type():
+    cfg = ExperimentConfig.from_dict({
+        "experiment": "self-int", "n_grid": "6, 12", "samples": "3",
+        "seed": "7", "retain_raw": "false", "probs": "0.4 0.1,0.4, 0.1"})
+    assert cfg.n_grid == (6, 12) and cfg.samples == 3 and cfg.seed == 7
+    assert cfg.retain_raw is False
+    assert cfg.probs == (0.4, 0.1, 0.4, 0.1)
+    for word, value in (("1", True), ("YES", True), ("true", True),
+                        ("0", False), ("no", False)):
+        cfg = ExperimentConfig.from_dict({"experiment": "self-int", "n_grid": "6",
+                                          "samples": "1", "retain_raw": word})
+        assert cfg.retain_raw is value
+    for key, bad in (("samples", "x"), ("n_grid", "6,x"), ("retain_raw", "maybe"),
+                     ("probs", "0.5,half"), ("seed", "1.5"), ("samples", None)):
+        d = {"experiment": "self-int", "n_grid": "6", "samples": "3", key: bad}
+        with pytest.raises(ConfigError, match=f"config key {key}"):
+            ExperimentConfig.from_dict(d)
 
 
 def test_config_rejects_rank_not_matching_surface():
@@ -320,3 +340,53 @@ def test_invariant_checks_survive_optimize():
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1, proc.stderr
     assert "AssertionError: linear degree bound violated" in proc.stderr
+
+
+# Sampler streams recorded before the samplers shared one draw: the same
+# (seed, sampler, n, index) key must keep giving the same letters.
+_U2, _NU2 = (0.25,) * 4, (0.4, 0.1, 0.3, 0.2)
+_U3, _NU3 = (1 / 6,) * 6, (0.3, 0.1, 0.1, 0.2, 0.2, 0.1)
+_KEYS = ((0, 12, 0), (7, 20, 3), (2024, 9, 11))
+_SAMPLE_WORD_PINS = [
+    ("walk", 2, _U2, ("AAAbBBABBaAB", "bbBbBAAAABbBbbabAbaA", "bAABAAbaB")),
+    ("walk", 2, _NU2, ("AAAaBBABAaAB", "bbBbBAAAABbBababAbaA", "aAABAAbaB")),
+    ("walk", 3, _U3, ("BAAcCCACBaBC", "ccCcCBAAACcCbcbcAcbB", "cBABBAcaB")),
+    ("walk", 3, _NU3, ("BAAbCBACBaAB", "ccCcCBAAABcBacacAcaB", "bBABBAcaB")),
+    ("ball", 2, _U2, ("abaBAbAABB", "baBabaabAABaabAbaBBA", "abAAABBBA")),
+    ("ball", 3, _U3, ("CacacaCACC", "caacACbbACbbAAcbACab", "BCacBAACC")),
+]
+
+
+@pytest.mark.parametrize("sampler, rank, probs, expected", _SAMPLE_WORD_PINS)
+def test_sample_word_stream_pinned(sampler, rank, probs, expected):
+    got = tuple(str(_sample_word(sampler, rank, probs, n, seed, idx))
+                for seed, n, idx in _KEYS)
+    assert got == expected
+    assert len(_sample_word(sampler, rank, probs, 0, 5, 0)) == 0
+
+
+def test_public_sampler_streams_pinned():
+    walks = [(str(random_walk(WalkDistribution.uniform(2), 15, s)),
+              str(random_walk(WalkDistribution(3, _NU3), 15, s)))
+             for s in (0, 1, 2)]
+    assert walks == [("baBabbABaabABaa", "baBaccACaacACaa"),
+                     ("BbBababbbAaAbBA", "BcBaaababAaAbBA"),
+                     ("bBaabABBaabaabb", "bBaabABBaaaaabc")]
+    balls = [(str(sample_ball_uniform(2, 15, s)), str(sample_ball_uniform(3, 10, s)))
+             for s in (0, 1, 2)]
+    assert balls == [("BaaaBABabaBAAAb", "AcbaBaBcAB"),
+                     ("ABaaBAbabaBAAbA", "BACbbCBabc"),
+                     ("bbaaBBAAbaBaaBA", "bcbbCABcbC")]
+    assert repr(drift_estimate(WalkDistribution.uniform(2), 60, 25, 4).mean) == "0.516"
+    assert (repr(drift_estimate(WalkDistribution(3, _NU3), 40, 15, 9).mean)
+            == "0.7333333333333333")
+
+
+def test_library_has_no_bare_assert():
+    # ``python -O`` strips assert statements; invariant checks must raise
+    src = Path(__file__).resolve().parents[1] / "src" / "randcurve"
+    hits = [f"{path.name}:{node.lineno}"
+            for path in sorted(src.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Assert)]
+    assert hits == []
