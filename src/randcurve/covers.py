@@ -7,8 +7,10 @@ walks that elevation from sheet 0, defining permutation entries only when
 the walk needs them and numbering sheets in order of first visit (the
 low-index-subgroups technique, Sims, *Computation with Finitely Presented
 Groups*, ch. 5), and cuts a branch as soon as one sheet holds two linked
-positions of the root.  The enumeration of transitive tuples it replaced
-is kept as the test oracle ``_degree_by_enumeration``.
+positions of the root; the linked positions are the bitmasks of
+``intersect.linked_masks``, computed once per curve.  The enumeration of
+transitive tuples it replaced is kept as the test oracle
+``_degree_by_enumeration``.
 
 ``hall_count`` evaluates Hall's recursion for the number of index-d
 subgroups of a free group; ``mednykh_count`` evaluates the character-sum
@@ -24,7 +26,7 @@ from functools import lru_cache
 from itertools import permutations, product
 from math import factorial
 
-from .intersect import EdgePath, linked_pair_matrix
+from .intersect import EdgePath, linked_masks
 from .ribbon import (PermRep, RibbonGraph, perm_cycles, perm_inverse,
                      perm_orbit_count)
 from .words import CyclicWord, WordError
@@ -290,8 +292,8 @@ def simple_lifting_degree(gamma: CyclicWord, g: RibbonGraph,
     For each d, a backtracking search walks the elevation of the primitive
     root from sheet 0 over partial permutations (see ``_embedded_walk``).
     Root positions landing on a common sheet cross exactly when their base
-    residues are a linked pair (``linked_pair_matrix``), so no cover is
-    built.  The walk succeeds when it returns to sheet 0 after a number of
+    residues are a linked pair (``intersect.linked_masks``), so no cover
+    is built.  The walk succeeds when it returns to sheet 0 after a number of
     root passes divisible by the power.  Every sheet in use is reached by
     the walk, so every completion of the partial permutations is transitive,
     and the least d with an embedded closed walk is the degree.  The witness
@@ -303,8 +305,7 @@ def simple_lifting_degree(gamma: CyclicWord, g: RibbonGraph,
     if g.vertex_count != 1:
         raise CoverSearchError("degree search expects a one-vertex spine")
     root, power = gamma.primitive_root()
-    linked = linked_pair_matrix(EdgePath.from_word(root, g))
-    masks = [sum(1 << j for j, hit in enumerate(row) if hit) for row in linked]
+    masks = linked_masks(EdgePath.from_word(root, g))
     for d in range(1, d_max + 1):
         fwd = _embedded_walk(root.letters, power, masks, g.rank, d)
         if fwd is not None:
@@ -328,7 +329,7 @@ def _cycle_type_reps(d: int):
         yield tuple(p)
 
 
-def _simple_elevation_sheet(rep: PermRep, letters, power, linked_rows) -> int | None:
+def _simple_elevation_sheet(rep: PermRep, letters, power, masks) -> int | None:
     """Sheet starting an embedded elevation of root^power, else None.
 
     An elevation of the power is an honest embedded circle exactly when the
@@ -342,14 +343,13 @@ def _simple_elevation_sheet(rep: PermRep, letters, power, linked_rows) -> int | 
     for cyc in perm_cycles(rep.perm_of(letters)):
         if len(cyc) % power != 0:
             continue
-        by_sheet = {}
+        held = [0] * rep.degree  # bitmask of the root positions on each sheet
         s = cyc[0]
         for k in range(len(cyc) * L):
             i = k % L
-            rows = by_sheet.setdefault(s, [])
-            if any(linked_rows[i][j] for j in rows):
+            if held[s] & masks[i]:
                 break
-            rows.append(i)
+            held[s] |= 1 << i
             s = steps[i][s]
         else:
             return cyc[0]
@@ -371,7 +371,7 @@ def _degree_by_enumeration(gamma: CyclicWord, g: RibbonGraph, d_max: int,
         raise CoverSearchError("degree search expects a one-vertex spine")
     root, power = gamma.primitive_root()
     letters = root.letters
-    linked = linked_pair_matrix(EdgePath.from_word(root, g))
+    masks = linked_masks(EdgePath.from_word(root, g))
     rank = g.rank
     for d in range(1, d_max + 1):
         perms = list(permutations(range(d)))
@@ -382,7 +382,7 @@ def _degree_by_enumeration(gamma: CyclicWord, g: RibbonGraph, d_max: int,
                 if perm_orbit_count(d, tup) != 1:
                     continue
                 rep = PermRep(d, tup)
-                sheet = _simple_elevation_sheet(rep, letters, power, linked)
+                sheet = _simple_elevation_sheet(rep, letters, power, masks)
                 if sheet is not None:
                     gamma_perm = rep.perm_of(gamma.letters)
                     idx = next(i for i, cyc in enumerate(perm_cycles(gamma_perm))

@@ -2,16 +2,21 @@
 
 Two strands passing through a vertex of the thickened graph cross exactly
 when their four ends interleave in the circular order that the fattening
-induces on the ends of the universal cover (a tree).  Ends are compared by
-walking dart itineraries until they diverge and reading the vertex cyclic
-order at the divergence point, so every crossing decision is a finite
-computation.  The linked-pair count of a primitive cyclically reduced path
-is its geometric self-intersection number; a proper power w^k is handled by
-the k-parallel-strand cable model, contributing k^2 crossings per base
-crossing plus k-1 for closing the cable.
+induces on the ends of the universal cover (a tree); this is the
+linked-pair criterion of Cohen-Lustig.  The kernel sorts the two ends of
+every vertex passage of a path once, by first dart and turn sequence, and
+reads every linked pair off that order as a bitmask per passage
+(``linked_masks``).  Two crossing lines share a segment of one or more
+vertices; a linked pair counts only at the vertex where that segment
+starts, so each crossing is counted once with integers alone.  The
+self-intersection of a primitive path is half its ordered count; a proper
+power w^k is handled by the k-parallel-strand cable model, contributing k^2
+crossings per base crossing plus k-1 for closing the cable.
 
-``brute_min_crossings`` is an independent oracle: it minimizes chord
-crossings over every band-consistent strand ordering of the same diagram.
+Oracles kept for the tests: ``primitive_self_count`` compares rays pairwise
+and weights each linked pair by 1/overlap, and ``brute_min_crossings``
+minimizes chord crossings over every band-consistent strand ordering of the
+same diagram.
 """
 
 from __future__ import annotations
@@ -157,14 +162,6 @@ def _linked(g, chord1, chord2, cap, equal_threshold=None) -> bool:
     return _orient(g, p, s, q, cap) != _orient(g, p, t, q, cap)
 
 
-def _linked_positions(path: EdgePath, i: int, j: int, cap) -> bool:
-    g = path.graph
-    d = path.darts
-    chord1 = (_backward_ray(d, g.pair, i), _forward_ray(d, i))
-    chord2 = (_backward_ray(d, g.pair, j), _forward_ray(d, j))
-    return _linked(g, chord1, chord2, cap)
-
-
 def _overlap_size(g, rays1, rays2, cap) -> int:
     """Number of vertices the two based lines share.
 
@@ -188,7 +185,8 @@ def _overlap_size(g, rays1, rays2, cap) -> int:
 
 
 def primitive_self_count(path: EdgePath) -> int:
-    """Reference self-intersection of a primitive path (scalar loops).
+    """Test oracle for ``self_intersection`` of a primitive path (scalar
+    ray loops).
 
     Sums 1/overlap over linked vertex-passage pairs; the total is the number
     of crossing line-pair orbits, i.e. the geometric count.
@@ -215,41 +213,120 @@ def primitive_self_count(path: EdgePath) -> int:
     return int(total)
 
 
-def linked_pair_matrix(path: EdgePath) -> list[list[bool]]:
-    """Symmetric matrix of linked position pairs of a primitive path."""
-    g = path.graph
-    d = path.darts
-    n = len(d)
-    cap = 2 * n + 4
-    out = [[False] * n for _ in range(n)]
-    for i in range(n):
-        vi = g.vertex_of[d[i]]
-        for j in range(i + 1, n):
-            if g.vertex_of[d[j]] == vi and _linked_positions(path, i, j, cap):
-                out[i][j] = out[j][i] = True
-    return out
+# --- linked-pair kernel ------------------------------------------------------
+#
+# Passage i of a closed dart path D is its visit to the vertex dart D[i]
+# leaves.  Lifted through a common lift of that vertex, it has a forward end
+# F_i = (D[i], D[i+1], ...) and a backward end B_i = (pair[D[i-1]],
+# pair[D[i-2]], ...).  An end is the sequence of its darts, and it is fixed by
+# its first dart and its turns: the turn into dart r from dart q is the
+# position of r counted counterclockwise from pair[q] at their vertex.  Ends
+# sorted by (vertex of the first dart, position of that dart, turns) lie
+# around each lifted vertex in the circular order of the tree's boundary.
+# The ends of a path are periodic with its length, so two distinct ends of
+# paths of lengths nu and nv differ within nu + nv - 1 darts (Fine-Wilf),
+# and 2 * max(nu, nv) - 1 turns decide every comparison.
+
+def _sorted_ends(g: RibbonGraph, paths) -> list[int]:
+    """The passages of ``paths``, numbered consecutively over the paths,
+    listed in the order of their ends: each passage appears twice, once for
+    its forward end and once for its backward end."""
+    pair = g.pair
+    pos = g._pos_in_vertex
+    deg = [len(g.vertices[v]) for v in g.vertex_of]
+    rank = [0] * g.dart_count  # darts in vertex-major circular order
+    k = 0
+    for cyc in g.vertices:
+        for d in cyc:
+            rank[d] = k
+            k += 1
+    # a turn lies in 1..deg-1; fixed-width big-endian bytes keep its order
+    width = max(1, ((max(deg) - 1).bit_length() + 7) // 8)
+    m = 2 * max(map(len, paths)) - 1
+    ends = []
+    first = 0
+    for darts in paths:
+        n = len(darts)
+        back = tuple(pair[d] for d in reversed(darts))
+        # the forward end at index i of ``back`` is the backward end B_{-i}
+        for seq, sign in ((darts, 1), (back, -1)):
+            turns = [(pos[d] - pos[pair[q]]) % deg[d]
+                     for q, d in zip(seq[-1:] + seq[:-1], seq)]
+            enc = (bytes(turns) if width == 1 else
+                   b"".join(t.to_bytes(width, "big") for t in turns))
+            enc *= m // n + 2
+            for i, d in enumerate(seq):
+                ends.append((rank[d], enc[(i + 1) * width:(i + 1 + m) * width],
+                             first + sign * i % n))
+        first += n
+    ends.sort()
+    return [owner for _, _, owner in ends]
 
 
-def _primitive_count(path: EdgePath) -> int:
-    n = len(path)
-    if n == 1:
-        return 0
-    if path.graph.vertex_count == 1 and n >= 8:
-        from ._fastint import rose_self_count
+def _linked_masks(g: RibbonGraph, paths) -> list[int]:
+    """Bit j of entry i is set when passages i and j are linked: exactly one
+    end of j lies strictly between the two ends of i."""
+    order = _sorted_ends(g, paths)
+    lo = [-1] * (len(order) // 2)
+    hi = lo[:]
+    prefix = [0]  # prefix[k]: XOR of 1 << j over the first k sorted ends
+    x = 0
+    for k, j in enumerate(order):
+        if lo[j] < 0:
+            lo[j] = k
+        else:
+            hi[j] = k
+        x ^= 1 << j
+        prefix.append(x)
+    return [prefix[h] ^ prefix[l + 1] for l, h in zip(lo, hi)]
 
-        return rose_self_count(path)
-    return primitive_self_count(path)
+
+def linked_masks(path: EdgePath) -> list[int]:
+    """Per position of a primitive path, the bitmask of the positions whose
+    passages are linked with it."""
+    return _linked_masks(path.graph, [path.darts])
+
+
+def _ordered_crossings(g: RibbonGraph, paths, sources, targets: int) -> int:
+    """Linked ordered pairs (s, t), s in ``sources`` and t a bit of
+    ``targets``, whose lines' shared segment starts at the vertex of the
+    passages: B_s(0) is neither B_t(0) nor F_t(0).
+
+    Each crossing of two lines shares a segment of one or more vertices and
+    is seen at each of them; the start rule keeps the first vertex along s.
+    Equal ends (powers of one root) belong to passages on one line, which the
+    start rule always skips.
+    """
+    masks = _linked_masks(g, paths)
+    pair = g.pair
+    first_darts = [(pair[d[i - 1]], d[i]) for d in paths for i in range(len(d))]
+    touching = {}  # dart -> targets whose chord at this vertex uses the dart
+    for t, ends in enumerate(first_darts):
+        if targets >> t & 1:
+            for x in ends:
+                touching[x] = touching.get(x, 0) | 1 << t
+    count = 0
+    for s in sources:
+        b = first_darts[s][0]
+        count += (masks[s] & (targets ^ touching.get(b, 0))).bit_count()
+    return count
 
 
 def self_intersection(p: EdgePath) -> int:
-    """Geometric self-intersection number of the class carried by ``p``."""
+    """Geometric self-intersection number of the class carried by ``p``.
+
+    The primitive root's crossings are half its ordered crossings; a proper
+    power w^k is the k-strand cable, k^2 crossings per base crossing plus
+    k-1 for closing the cable.
+    """
     if len(p) == 0:
         raise IntersectionError("trivial path has no self-intersection number")
     root, k = p.primitive_root()
-    base = _primitive_count(root)
-    if k == 1:
-        return base
-    return k * k * base + (k - 1)
+    n = len(root)
+    ordered = _ordered_crossings(root.graph, [root.darts], range(n), (1 << n) - 1)
+    if ordered % 2:
+        raise AssertionError("odd ordered crossing count: invariant violated")
+    return k * k * (ordered // 2) + (k - 1)
 
 
 def intersection(p: EdgePath, q: EdgePath) -> int:
@@ -261,28 +338,12 @@ def intersection(p: EdgePath, q: EdgePath) -> int:
     if p.class_key() == q.class_key():
         raise IntersectionError(
             "classes agree up to conjugacy and inversion; use self_intersection")
-    from fractions import Fraction
-
-    g = p.graph
     ru, k = p.primitive_root()
     rv, m = q.primitive_root()
-    du, dv = ru.darts, rv.darts
-    nu, nv = len(du), len(dv)
-    cap = 2 * (nu + nv) + 4
-    threshold = nu + nv
-    total = Fraction(0)
-    for i in range(nu):
-        vi = g.vertex_of[du[i]]
-        chord1 = (_backward_ray(du, g.pair, i), _forward_ray(du, i))
-        for j in range(nv):
-            if g.vertex_of[dv[j]] != vi:
-                continue
-            chord2 = (_backward_ray(dv, g.pair, j), _forward_ray(dv, j))
-            if _linked(g, chord1, chord2, cap, equal_threshold=threshold):
-                total += Fraction(1, _overlap_size(g, chord1, chord2, cap))
-    if total.denominator != 1:
-        raise AssertionError("non-integral crossing count: invariant violated")
-    return k * m * int(total)
+    nu, nv = len(ru), len(rv)
+    count = _ordered_crossings(p.graph, [ru.darts, rv.darts], range(nu),
+                               ((1 << nv) - 1) << nu)
+    return k * m * count
 
 
 # --- band-diagram oracle ---------------------------------------------------

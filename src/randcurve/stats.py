@@ -9,6 +9,7 @@ regardless of worker count or scheduling.
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
 import json
 import math
@@ -290,10 +291,26 @@ def _max_spiraling(gamma: CyclicWord, rank: int, g) -> int:
                default=0)
 
 
+@functools.lru_cache(maxsize=None)
+def _surface(name: str):
+    """The preset surface ``name``, built once per process."""
+    return surface(name)
+
+
+@functools.lru_cache(maxsize=16)
+def _fixed_curve(alpha: str, rank: int, surface_name: str):
+    """The path of ``alpha`` and the letters of its primitive root in both
+    orientations, built once per process."""
+    alpha_c = CyclicWord.from_string(alpha, rank)
+    root = alpha_c.primitive_root()[0]
+    return (EdgePath.from_word(alpha_c, _surface(surface_name)),
+            (root.letters, root.inverse().letters))
+
+
 def _measure_one(args):
     """One (n, index) measurement; top-level for pickling."""
     (family, sampler, rank, surface_name, probs, n, index, seed, d_max, alpha) = args
-    g = surface(surface_name)
+    g = _surface(surface_name)
     w = _sample_word(sampler, rank, probs, n, seed, index)
     gamma = cyclic_reduce(w)
     out = {"n": n, "index": index}
@@ -310,13 +327,11 @@ def _measure_one(args):
             raise AssertionError("quadratic bound violated")
         out["value"] = i
     elif family == "fixed-curve-int":
-        alpha_c = CyclicWord.from_string(alpha, rank)
-        root_g = gamma.primitive_root()[0]
-        root_a = alpha_c.primitive_root()[0]
-        if root_g.letters in (root_a.letters, root_a.inverse().letters):
+        alpha_path, alpha_roots = _fixed_curve(alpha, rank, surface_name)
+        if gamma.primitive_root()[0].letters in alpha_roots:
             out["skip"] = "alpha-power"
             return out
-        out["value"] = intersection(path, EdgePath.from_word(alpha_c, g))
+        out["value"] = intersection(path, alpha_path)
     elif family == "lifting":
         from .covers import simple_lifting_degree
 

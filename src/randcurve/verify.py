@@ -15,12 +15,12 @@ from .covers import (hall_count, hook_degree, mednykh_count, partitions,
 from .fricke import (FrickePoint, collar_width, distance_proxy, geodesic_length,
                      holonomy, minimize_length, rose_minimizer)
 from .intersect import (EdgePath, brute_min_crossings, intersection,
-                        self_intersection, spiraling)
+                        self_intersection)
 from .ribbon import (PermRep, RibbonGraph, cover, elevations, faces,
                      pair_of_pants, punctured_torus, signature)
-from .stats import (ExperimentConfig, WalkDistribution, drift_estimate,
-                    random_walk, run_experiment, sample_ball_uniform,
-                    uniform_reduced_word)
+from .stats import (ExperimentConfig, WalkDistribution, _max_spiraling,
+                    drift_estimate, random_walk, run_experiment,
+                    sample_ball_uniform, uniform_reduced_word)
 from .words import (BallSpec, CyclicWord, Word, alphabet_letters, ball_size,
                     conjugates_in_ball, cyclic_classes, cyclic_reduce, reduce,
                     satisfies_no_cancellation, sphere_size)
@@ -205,11 +205,8 @@ def verify_covers(fast=True):
         inv = simple_lifting_degree(c.inverse(), pt, d_max=4)
         if res.degree != inv.degree:
             return False, "degree not inversion invariant"
-        if res.found:
-            sp = max(spiraling(c, CyclicWord((j,), 2), pt)
-                     for j in (1, 2) if c.primitive_root()[0].letters not in ((j,), (-j,)))
-            if res.degree < sp:
-                return False, "spiraling lower bound violated"
+        if res.found and res.degree < _max_spiraling(c, 2, pt):
+            return False, "spiraling lower bound violated"
     return True, "hall/mednykh vs enumeration, hooks, degree invariants"
 
 

@@ -1,0 +1,169 @@
+"""The sorted-ends linked-pair kernel against independent oracles.
+
+- ``linked_masks`` against the scalar ray comparison ``_linked`` applied to
+  every pair of passages at a common vertex;
+- ``self_intersection`` against ``primitive_self_count``, which weights
+  linked passage pairs by 1/overlap instead of reading the start of the
+  shared segment;
+- ``intersection`` against the band-diagram brute force.
+"""
+
+import itertools
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+from randcurve.intersect import (EdgePath, _backward_ray, _forward_ray,
+                                 _linked, brute_min_crossings, intersection,
+                                 linked_masks, primitive_self_count,
+                                 self_intersection)
+from randcurve.ribbon import (PermRep, elevations, genus2_boundary1,
+                              pair_of_pants, punctured_torus)
+from randcurve.words import CyclicWord, Word, alphabet_letters, cyclic_classes, \
+    cyclic_reduce
+
+PT, PP, G2 = punctured_torus(), pair_of_pants(), genus2_boundary1()
+PRESETS = (PT, PP, G2)
+
+
+def scalar_linked_masks(path):
+    """Linked passage pairs by comparing rays pairwise."""
+    g = path.graph
+    d = path.darts
+    n = len(d)
+    cap = 2 * n + 4
+    chords = [(_backward_ray(d, g.pair, i), _forward_ray(d, i)) for i in range(n)]
+    out = [0] * n
+    for i, j in itertools.combinations(range(n), 2):
+        if g.vertex_of[d[i]] == g.vertex_of[d[j]] and \
+                _linked(g, chords[i], chords[j], cap):
+            out[i] |= 1 << j
+            out[j] |= 1 << i
+    return out
+
+
+def primitive_paths(g, classes):
+    for c in classes:
+        if c.primitive_root()[1] == 1:
+            yield EdgePath.from_word(c, g)
+
+
+def elevation_paths(seed, count):
+    """Elevations of random words to random covers of degree 2 and 3."""
+    rng = random.Random(seed)
+    letters = alphabet_letters(2)
+    perms = {d: list(itertools.permutations(range(d))) for d in (2, 3)}
+    out = []
+    while len(out) < count:
+        d = rng.choice((2, 3))
+        phi = PermRep(d, (rng.choice(perms[d]), rng.choice(perms[d])))
+        c = cyclic_reduce(Word(tuple(rng.choice(letters)
+                                     for _ in range(rng.randrange(1, 9))), 2))
+        if len(c) == 0:
+            continue
+        for e in elevations(c, phi, PT):
+            path = EdgePath(e.cover, e.darts)
+            if path.primitive_root()[1] == 1:
+                out.append(path)
+    return out
+
+
+def random_primitive(rng, g, rank, lo, hi):
+    letters = alphabet_letters(rank)
+    while True:
+        n = rng.randrange(lo, hi)
+        c = cyclic_reduce(Word(tuple(rng.choice(letters) for _ in range(n)), rank))
+        if len(c) and c.primitive_root()[1] == 1:
+            return EdgePath.from_word(c, g)
+
+
+def test_linked_masks_match_scalar_rays():
+    paths = [p for g in PRESETS for p in primitive_paths(g, cyclic_classes(6))]
+    paths += list(primitive_paths(G2, cyclic_classes(3, rank=4)))
+    paths += elevation_paths(41, 120)
+    for p in paths:
+        assert linked_masks(p) == scalar_linked_masks(p), p.darts
+
+
+def test_self_count_matches_oracle_on_every_short_class():
+    classes = list(cyclic_classes(8))
+    assert len(classes) == 1386
+    for g in PRESETS:
+        for p in primitive_paths(g, classes):
+            assert self_intersection(p) == primitive_self_count(p), p.darts
+
+
+def test_self_count_matches_oracle_on_higher_rank():
+    for p in primitive_paths(G2, cyclic_classes(4, rank=4)):
+        assert self_intersection(p) == primitive_self_count(p), p.darts
+    rng = random.Random(23)
+    for _ in range(25):
+        p = random_primitive(rng, G2, 4, 4, 16)
+        assert self_intersection(p) == primitive_self_count(p), p.darts
+
+
+def test_self_count_matches_oracle_on_elevations():
+    for p in elevation_paths(42, 200):
+        assert self_intersection(p) == primitive_self_count(p), p.darts
+
+
+def test_self_count_matches_oracle_on_random_long_words():
+    rng = random.Random(17)
+    for _ in range(40):
+        p = random_primitive(rng, rng.choice((PT, PP)), 2, 8, 40)
+        assert self_intersection(p) == primitive_self_count(p), p.darts
+
+
+def _brute_intersection(pu, pv):
+    return (brute_min_crossings([pu, pv]) - brute_min_crossings(pu)
+            - brute_min_crossings(pv))
+
+
+def test_intersection_matches_brute_force_on_short_classes():
+    classes = list(cyclic_classes(3))
+    for g in (PT, PP):
+        for u, v in itertools.combinations(classes, 2):
+            pu, pv = EdgePath.from_word(u, g), EdgePath.from_word(v, g)
+            if pu.class_key() == pv.class_key():
+                continue
+            assert intersection(pu, pv) == _brute_intersection(pu, pv), (u, v)
+
+
+def test_intersection_of_powers_of_one_root_matches_brute_force():
+    # parallel copies of a curve cross twice per self-crossing of the root,
+    # though every end of one is an end of the other
+    cases = [(PT, "a", 1, 3), (PT, "ab", 1, 2), (PP, "aB", 1, 2),
+             (PP, "aB", 1, 3), (PP, "aab", 1, 2)]
+    nonzero = 0
+    for g, root, k, m in cases:
+        u = CyclicWord.from_string(root * k, 2)
+        v = CyclicWord.from_string(root * m, 2)
+        for w in (v, v.inverse()):
+            pu, pw = EdgePath.from_word(u, g), EdgePath.from_word(w, g)
+            val = intersection(pu, pw)
+            assert val == intersection(pw, pu) == _brute_intersection(pu, pw), \
+                (root, k, m)
+            nonzero += val > 0
+    assert nonzero >= 4
+
+
+def test_kernel_runs_without_numpy():
+    code = "\n".join((
+        "import sys",
+        "from randcurve import (cyclic, edge_path, intersection,",
+        "                       punctured_torus, self_intersection,",
+        "                       simple_lifting_degree)",
+        "g = punctured_torus()",
+        "p = edge_path(cyclic('aabbaBBAbab'), g)",
+        "assert self_intersection(p) > 0",
+        "assert intersection(p, edge_path(cyclic('a'), g)) > 0",
+        "assert simple_lifting_degree(cyclic('aabb'), g).degree == 2",
+        "assert 'numpy' not in sys.modules, 'numpy was imported'",
+    ))
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

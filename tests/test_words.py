@@ -105,6 +105,20 @@ def test_cyclic_word_validation():
         CyclicWord((2, 1), 2)  # not least rotation
 
 
+def test_public_constructor_still_rejects_rotations_that_are_not_least():
+    # the library builds canonical words without re-running Booth's
+    # algorithm; the public constructor keeps the check
+    for c in cyclic_classes(5):
+        w = c.letters
+        for i in range(1, len(w)):
+            if w[i:] + w[:i] != w:
+                with pytest.raises(WordError):
+                    CyclicWord(w[i:] + w[:i], 2)
+        for built in (c, c.inverse(), c.primitive_root()[0],
+                      cyclic_reduce(Word(w[1:] + w[:1], 2))):
+            assert CyclicWord(built.letters, built.rank) == built
+
+
 def test_primitive_root():
     root, k = C("abab").primitive_root()
     assert str(root) == "ab" and k == 2
