@@ -131,24 +131,13 @@ def mednykh_count(g: int, d: int) -> int:
 
 # --- enumeration ------------------------------------------------------------
 
-def transitive_reps(rank, d: int, closed_genus: int | None = None):
+def transitive_reps(rank: int, d: int, closed_genus: int | None = None):
     """Yield every transitive PermRep of the given degree.
 
     Free mode enumerates all rank-tuples of permutations with transitive
     joint action; closed mode (rank = 2*genus) additionally requires the
-    product of commutators to act trivially.  A SurfaceSignature may be
-    passed instead of a rank: with boundary it selects free mode on the
-    rank 2g+b-1 free group, without boundary closed mode in genus g.
+    product of commutators to act trivially.
     """
-    from .ribbon import SurfaceSignature
-
-    if isinstance(rank, SurfaceSignature):
-        sig = rank
-        if sig.boundary_count > 0:
-            rank = 2 * sig.genus + sig.boundary_count - 1
-        else:
-            rank = 2 * sig.genus
-            closed_genus = sig.genus
     if d < 1:
         raise ValueError("degree must be positive")
     perms = list(permutations(range(d)))
@@ -314,6 +303,20 @@ def simple_lifting_degree(gamma: CyclicWord, g: RibbonGraph,
             idx = next(i for i, cyc in enumerate(cycles) if 0 in cyc)
             return DegreeSearchResult(d, d_max, rep, idx)
     return DegreeSearchResult(None, d_max)
+
+
+def check_degree_bounds(degree: int | None, i: int, spiral: int) -> None:
+    """Raise ``AssertionError`` unless a found degree (None passes) obeys
+    its bounds against self-intersection ``i`` and largest spiraling
+    ``spiral``: degree <= 5i + 5, degree >= spiral, 1 exactly when i = 0."""
+    if degree is None:
+        return
+    if degree > 5 * i + 5:
+        raise AssertionError("linear degree bound violated")
+    if degree < spiral:
+        raise AssertionError("spiraling lower bound violated")
+    if (degree == 1) != (i == 0):
+        raise AssertionError("degree-1 iff simple failed")
 
 
 # --- test oracle: enumeration of transitive tuples ---------------------------

@@ -10,6 +10,7 @@ descent directly on the cubic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -236,10 +237,7 @@ def minimize_curve_system(words, seeds=None, max_iter=20000) -> MinimizeResult:
     saw_budget = False
     for seed in seeds:
         p = seed.triple() if isinstance(seed, FrickePoint) else tuple(seed)
-        try:
-            value = _system_length(words, p)
-        except ParabolicWordError:
-            raise
+        value = _system_length(words, p)
         step = 0.1
         status = "budget"
         prev_p = prev_t = None
@@ -323,22 +321,18 @@ def minimize_length(gamma: Word | CyclicWord, seeds=None, max_iter=20000) -> Min
     return minimize_curve_system([gamma], seeds=seeds, max_iter=max_iter)
 
 
-_ROSE_CACHE: list = []
-
-
+@functools.lru_cache(maxsize=None)
 def rose_minimizer() -> FrickePoint:
-    """The unique minimizer of len(a) + len(b), computed numerically.
+    """The unique minimizer of len(a) + len(b), computed numerically once
+    per process.
 
     The a/b symmetry forces x = y there; analytically the point is
     (2*sqrt(2), 2*sqrt(2), 4).
     """
-    if not _ROSE_CACHE:
-        res = minimize_curve_system(
-            [CyclicWord((1,), 2), CyclicWord((2,), 2)])
-        if res.status != "converged":
-            raise FrickeError(f"rose minimization failed: {res.status}")
-        _ROSE_CACHE.append(res.point)
-    return _ROSE_CACHE[0]
+    res = minimize_curve_system([CyclicWord((1,), 2), CyclicWord((2,), 2)])
+    if res.status != "converged":
+        raise FrickeError(f"rose minimization failed: {res.status}")
+    return res.point
 
 
 _PROXY_FAMILY = (CyclicWord((1,), 2), CyclicWord((2,), 2),

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .ribbon import RibbonGraph
-from .words import CyclicWord, Word, WordError, cyclic_reduce
+from .words import CyclicWord, Word, WordError, cyclic_reduce, least_rotation
 
 
 class IntersectionError(ValueError):
@@ -79,14 +79,13 @@ class EdgePath:
         return EdgePath(g, tuple(g.pair[d] for d in reversed(self.darts)))
 
     def class_key(self):
-        """Canonical key of the unoriented free homotopy class."""
-        best = None
+        """Canonical key of the unoriented free homotopy class: the least
+        rotation of the darts or of the inverse darts."""
+        keys = []
         for darts in (self.darts, self.inverse().darts):
-            for i in range(len(darts)):
-                rot = darts[i:] + darts[:i]
-                if best is None or rot < best:
-                    best = rot
-        return best
+            k = least_rotation(darts)
+            keys.append(darts[k:] + darts[:k])
+        return min(keys)
 
 
 def edge_path(w: Word | CyclicWord, g: RibbonGraph) -> EdgePath:
@@ -327,6 +326,23 @@ def self_intersection(p: EdgePath) -> int:
     if ordered % 2:
         raise AssertionError("odd ordered crossing count: invariant violated")
     return k * k * (ordered // 2) + (k - 1)
+
+
+def check_quadratic_bound(i: int, n: int) -> None:
+    """Raise ``AssertionError`` unless a self-intersection number ``i`` of a
+    word of length ``n`` is at most n(n-1)/2."""
+    if i > n * (n - 1) // 2:
+        raise AssertionError("quadratic bound violated")
+
+
+def check_invariance(p: EdgePath, i: int, shift: int) -> None:
+    """Raise ``AssertionError`` unless the inverse of ``p`` and its rotation
+    by ``shift`` darts have the self-intersection number ``i`` of ``p``."""
+    if self_intersection(p.inverse()) != i:
+        raise AssertionError("not inversion invariant")
+    rot = EdgePath(p.graph, p.darts[shift:] + p.darts[:shift])
+    if self_intersection(rot) != i:
+        raise AssertionError("not rotation invariant")
 
 
 def intersection(p: EdgePath, q: EdgePath) -> int:

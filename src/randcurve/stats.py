@@ -21,10 +21,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 from . import __version__
-from .intersect import EdgePath, intersection, self_intersection, spiraling
+from .intersect import (EdgePath, check_quadratic_bound, intersection,
+                        self_intersection, spiraling)
 from .ribbon import SURFACE_PRESETS, surface
 from .words import (BallSpec, CyclicWord, Word, WordError, alphabet_letters,
-                    ball_size, conjugates_in_ball, cyclic_classes,
+                    check_conjugacy_bound, conjugates_in_ball, cyclic_classes,
                     cyclic_reduce, reduce_letters, sphere_size)
 
 
@@ -323,8 +324,7 @@ def _measure_one(args):
     path = EdgePath.from_word(gamma, g)
     if family == "self-int":
         i = self_intersection(path)
-        if i > n * (n - 1) // 2:
-            raise AssertionError("quadratic bound violated")
+        check_quadratic_bound(i, n)
         out["value"] = i
     elif family == "fixed-curve-int":
         alpha_path, alpha_roots = _fixed_curve(alpha, rank, surface_name)
@@ -333,21 +333,18 @@ def _measure_one(args):
             return out
         out["value"] = intersection(path, alpha_path)
     elif family == "lifting":
-        from .covers import simple_lifting_degree
+        from .covers import check_degree_bounds, simple_lifting_degree
 
         i = self_intersection(path)
         res = simple_lifting_degree(gamma, g, d_max=d_max)
+        sp = _max_spiraling(gamma, rank, g)
+        check_degree_bounds(res.degree, i, sp)
         if res.found:
-            if res.degree > 5 * i + 5:
-                raise AssertionError("linear degree bound violated")
             out["value"] = res.degree
             out["deg_len_ratio"] = res.degree / len(gamma)
         out["found"] = res.found
         out["self_int"] = i
-        sp = _max_spiraling(gamma, rank, g)
         out["spiral"] = sp
-        if res.found and res.degree < sp:
-            raise AssertionError("spiraling lower bound violated")
     elif family == "spiral":
         out["value"] = _max_spiraling(gamma, rank, g)
     elif family == "minimizer":
@@ -373,9 +370,9 @@ def _measure_one(args):
 
 def _run_conj_ball(config: ExperimentConfig) -> ExperimentTable:
     """Exhaustive check of the conjugacy-ball bound over every class with
-    ||c|| <= max word length in the grid and every radius n in the grid."""
-    rank = config.rank
-    classes = list(cyclic_classes(max(config.n_grid), rank))
+    ||c|| <= max word length in the grid and every radius n in the grid; a
+    class over the bound counts in ``violations`` and adds no slack."""
+    classes = list(cyclic_classes(max(config.n_grid), config.rank))
     rows = []
     raw = {}
     violations = 0
@@ -385,13 +382,11 @@ def _run_conj_ball(config: ExperimentConfig) -> ExperimentTable:
             if len(c) > n:
                 continue
             count = conjugates_in_ball(c, n)
-            bound = n * ball_size(BallSpec(rank, (n - len(c)) // 2))
-            if count > bound:
+            try:
+                slacks.append(check_conjugacy_bound(c, n, count))
+            except AssertionError:
                 violations += 1
-            slacks.append(bound - count)
-        if not slacks:
-            slacks = [0]
-        rows.append(_summarize(n, slacks))
+        rows.append(_summarize(n, slacks or [0]))
         if config.retain_raw:
             raw[n] = sorted(slacks)
     meta = _metadata(config)

@@ -1,7 +1,9 @@
 """Invariant suites behind the ``verify`` subcommand.
 
-Each suite re-derives its expectations independently (enumeration, brute
-force, closed forms) and returns (name, passed, detail).
+Each suite checks its module against enumeration, brute force and closed
+forms on seeded samples and returns (passed, detail).  Invariants the
+experiment harness also asserts are the modules' ``check_*`` functions; the
+``AssertionError`` one raises fails its suite with the check's message.
 """
 
 from __future__ import annotations
@@ -10,20 +12,23 @@ import itertools
 import math
 import random
 
-from .covers import (hall_count, hook_degree, mednykh_count, partitions,
-                     simple_lifting_degree, subgroup_count_by_enumeration)
+from .covers import (check_degree_bounds, hall_count, hook_degree,
+                     mednykh_count, partitions, simple_lifting_degree,
+                     subgroup_count_by_enumeration)
 from .fricke import (FrickePoint, collar_width, distance_proxy, geodesic_length,
                      holonomy, minimize_length, rose_minimizer)
-from .intersect import (EdgePath, brute_min_crossings, intersection,
-                        self_intersection)
-from .ribbon import (PermRep, RibbonGraph, cover, elevations, faces,
-                     pair_of_pants, punctured_torus, signature)
+from .intersect import (EdgePath, brute_min_crossings, check_invariance,
+                        check_quadratic_bound, intersection, self_intersection)
+from .ribbon import (PermRep, RibbonGraph, boundary_words, cover, elevations,
+                     pair_of_pants, project_elevation, punctured_torus,
+                     signature)
 from .stats import (ExperimentConfig, WalkDistribution, _max_spiraling,
                     drift_estimate, random_walk, run_experiment,
                     sample_ball_uniform, uniform_reduced_word)
 from .words import (BallSpec, CyclicWord, Word, alphabet_letters, ball_size,
-                    conjugates_in_ball, cyclic_classes, cyclic_reduce, reduce,
-                    satisfies_no_cancellation, sphere_size)
+                    check_conjugacy_bound, conjugates_in_ball, cyclic_classes,
+                    cyclic_reduce, reduce, satisfies_no_cancellation,
+                    sphere_size)
 
 
 def verify_words(fast=True):
@@ -42,10 +47,8 @@ def verify_words(fast=True):
             return False, "cyclic_reduce not conjugation invariant"
     # rotation invariance of the canonical form
     for c in itertools.islice(cyclic_classes(5), 200):
-        w = c.letters
-        for i in range(len(w)):
-            rot = Word(w[i:] + w[:i], 2)
-            if cyclic_reduce(rot).letters != w:
+        for rot in c.rotations():
+            if cyclic_reduce(Word(rot, 2)).letters != c.letters:
                 return False, "canonical form not rotation invariant"
     # sphere/ball closed forms
     if sphere_size(BallSpec(2, 2)) != 12 or ball_size(BallSpec(2, 2)) != 17:
@@ -66,10 +69,7 @@ def verify_words(fast=True):
     n_max = 6 if fast else 8
     for c in cyclic_classes(4):
         for n in range(len(c), n_max + 1):
-            cnt = conjugates_in_ball(c, n)
-            bound = n * ball_size(BallSpec(2, (n - len(c)) // 2))
-            if cnt > bound:
-                return False, f"conjugacy bound violated for {c} n={n}"
+            check_conjugacy_bound(c, n, conjugates_in_ball(c, n))
     return True, "reduction, ball sizes, no-cancellation, conjugacy bound"
 
 
@@ -89,22 +89,19 @@ def verify_ribbon(fast=True):
     rng = random.Random(2)
     perms = {d: list(itertools.permutations(range(d))) for d in (2, 3)}
     d_top = 3 if fast else 5
+    chi_base = pt.vertex_count - pt.edge_count
+    (root,) = boundary_words(pt)
+    rots = [root[i:] + root[:i] for i in range(len(root))]
     for d in range(2, d_top + 1):
         all_perms = list(itertools.permutations(range(d)))
         for _ in range(10):
             phi = PermRep(d, (rng.choice(all_perms), rng.choice(all_perms)))
             cov = cover(pt, phi)
-            chi_base = pt.vertex_count - pt.edge_count
-            chi_cov = cov.vertex_count - cov.edge_count
-            if chi_cov != d * chi_base:
+            if cov.vertex_count - cov.edge_count != d * chi_base:
                 return False, "cover Euler characteristic not multiplicative"
             # boundary of cover = elevations of boundary of base
-            base_words = [tuple(pt.label[x] for x in f) for f in faces(pt)]
-            for f in faces(cov):
-                proj = tuple(cov.label[x] for x in f)
-                root = base_words[0]
+            for proj in boundary_words(cov):
                 k = len(proj) // len(root)
-                rots = [root[i:] + root[:i] for i in range(len(root))]
                 if not any(proj == r * k for r in rots):
                     return False, "cover boundary is not an elevation of base boundary"
     # elevation winding sums and projections
@@ -118,7 +115,7 @@ def verify_ribbon(fast=True):
         if sum(e.winding for e in els) != d:
             return False, "elevation windings do not sum to degree"
         for e in els:
-            if tuple(e.cover.label[x] for x in e.darts) != c.letters * e.winding:
+            if project_elevation(e) != c.letters * e.winding:
                 return False, "elevation projection mismatch"
     return True, "signatures, covers, boundary elevations, windings"
 
@@ -132,11 +129,9 @@ def verify_intersect(fast=True):
         for c in cyclic_classes(max_len):
             p = EdgePath.from_word(c, g)
             si = self_intersection(p)
-            bm = brute_min_crossings(p)
-            if si != bm:
+            if si != brute_min_crossings(p):
                 return False, f"oracle disagreement at {c}"
-            if si > len(c) * (len(c) - 1) // 2:
-                return False, f"quadratic bound violated at {c}"
+            check_quadratic_bound(si, len(c))
     # invariance under rotation, inversion, relabeling
     for _ in range(60):
         c = cyclic_reduce(uniform_reduced_word(rng, 2, rng.randrange(2, 9)))
@@ -144,13 +139,7 @@ def verify_intersect(fast=True):
             continue
         p = EdgePath.from_word(c, pt)
         si = self_intersection(p)
-        if self_intersection(p.inverse()) != si:
-            return False, "not inversion invariant"
-        w = c.letters
-        i = rng.randrange(len(w))
-        rot = EdgePath(pt, p.darts[i:] + p.darts[:i])
-        if self_intersection(rot) != si:
-            return False, "not rotation invariant"
+        check_invariance(p, si, rng.randrange(len(c)))
         relabeled = CyclicWord.from_string(str(c).translate(
             str.maketrans("abAB", "bABa")), 2)
         if self_intersection(EdgePath.from_word(relabeled, pt)) != si:
@@ -199,14 +188,11 @@ def verify_covers(fast=True):
         if len(c) == 0:
             continue
         res = simple_lifting_degree(c, pt, d_max=4)
-        simple = self_intersection(EdgePath.from_word(c, pt)) == 0
-        if simple != (res.degree == 1):
-            return False, "degree-1 iff simple failed"
+        check_degree_bounds(res.degree, self_intersection(EdgePath.from_word(c, pt)),
+                            _max_spiraling(c, 2, pt))
         inv = simple_lifting_degree(c.inverse(), pt, d_max=4)
         if res.degree != inv.degree:
             return False, "degree not inversion invariant"
-        if res.found and res.degree < _max_spiraling(c, 2, pt):
-            return False, "spiraling lower bound violated"
     return True, "hall/mednykh vs enumeration, hooks, degree invariants"
 
 
@@ -319,6 +305,8 @@ def run_all(fast=True):
     for name, fn in SUITES:
         try:
             ok, detail = fn(fast=fast)
+        except AssertionError as exc:  # a check_* function found a violation
+            ok, detail = False, str(exc)
         except Exception as exc:  # a crashed suite is a failure, not an abort
             ok, detail = False, f"exception: {exc!r}"
         results.append((name, ok, detail))

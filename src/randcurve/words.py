@@ -25,10 +25,6 @@ class WordError(ValueError):
     """Raised for malformed words or domain violations."""
 
 
-def inverse_letter(x: int) -> int:
-    return -x
-
-
 def alphabet_letters(rank: int) -> tuple[int, ...]:
     """All 2*rank letters, generators first."""
     return tuple(range(1, rank + 1)) + tuple(-i for i in range(1, rank + 1))
@@ -207,9 +203,6 @@ class CyclicWord:
                 return _canonical(w[:p], self.rank), n // p
         return self, 1
 
-    def is_primitive_power(self) -> bool:
-        return self.primitive_root()[1] == 1
-
 
 def _canonical(letters: tuple[int, ...], rank: int) -> CyclicWord:
     """The ``CyclicWord`` of letters the caller has just put in canonical
@@ -320,6 +313,16 @@ def ball_size(spec: BallSpec) -> int:
     for k in range(1, n + 1):
         total += 2 * r * (2 * r - 1) ** (k - 1)
     return total
+
+
+def check_conjugacy_bound(c: CyclicWord, n: int, count: int) -> int:
+    """Slack n * |B_{(n - |c|) // 2}| - ``count`` of the conjugacy-ball lemma
+    for ``count`` elements of [c] in the ball of radius ``n``; raises
+    ``AssertionError`` when it is negative."""
+    bound = n * ball_size(BallSpec(c.rank, (n - len(c)) // 2))
+    if count > bound:
+        raise AssertionError(f"conjugacy bound violated for {c} n={n}")
+    return bound - count
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,11 @@ import time
 
 from randcurve.covers import (hall_count, mednykh_count, simple_lifting_degree,
                               subgroup_count_by_enumeration)
-from randcurve.intersect import (EdgePath, brute_min_crossings,
-                                 self_intersection, spiraling)
+from randcurve.intersect import EdgePath, brute_min_crossings, self_intersection
 from randcurve.ribbon import pair_of_pants, punctured_torus
-from randcurve.stats import (ExperimentConfig, WalkDistribution, _sample_word,
-                             drift_estimate, fit_log_law, fit_power_law,
-                             run_experiment)
+from randcurve.stats import (ExperimentConfig, WalkDistribution, _max_spiraling,
+                             _sample_word, drift_estimate, fit_log_law,
+                             fit_power_law, run_experiment)
 from randcurve.words import (BallSpec, CyclicWord, alphabet_letters, ball_size,
                              conjugates_in_ball, cyclic_reduce,
                              least_rotation)
@@ -106,10 +105,7 @@ def _degree_subsample():
             continue
         i = self_intersection(EdgePath.from_word(c, PT))
         res = simple_lifting_degree(c, PT, d_max=6)
-        root = c.primitive_root()[0].letters
-        sp = max(spiraling(c, CyclicWord((j,), 2), PT)
-                 for j in (1, 2) if root not in ((j,), (-j,)))
-        out.append((n, i, res.degree, sp))
+        out.append((n, i, res.degree, _max_spiraling(c, 2, PT)))
     _DEG_SAMPLES.extend(out)
     return out
 

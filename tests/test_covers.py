@@ -8,8 +8,9 @@ from randcurve.covers import (Partition, _degree_by_enumeration, hall_count,
                               simple_lifting_degree, subgroup_class_count,
                               subgroup_count_by_enumeration,
                               count_transitive_reps, transitive_reps)
-from randcurve.intersect import EdgePath, self_intersection, spiraling
+from randcurve.intersect import EdgePath, self_intersection
 from randcurve.ribbon import elevations, punctured_torus
+from randcurve.stats import _max_spiraling
 from randcurve.words import (CyclicWord, Word, alphabet_letters, cyclic_classes,
                              cyclic_reduce)
 
@@ -174,11 +175,7 @@ def test_degree_bounds():
     for w, deg in DEGREES.items():
         i = self_intersection(EdgePath.from_word(C(w), PT))
         assert deg <= 5 * i + 5
-        c = C(w)
-        root = c.primitive_root()[0].letters
-        sp = max(spiraling(c, CyclicWord((j,), 2), PT)
-                 for j in (1, 2) if root not in ((j,), (-j,)))
-        assert deg >= sp
+        assert deg >= _max_spiraling(C(w), 2, PT)
 
 
 def test_not_found_result():

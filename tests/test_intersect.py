@@ -4,8 +4,8 @@ import random
 import pytest
 
 from randcurve.intersect import (BudgetExceeded, EdgePath, IntersectionError,
-                                 brute_min_crossings, intersection,
-                                 self_intersection, spiraling)
+                                 brute_min_crossings, check_invariance,
+                                 intersection, self_intersection, spiraling)
 from randcurve.ribbon import PermRep, pair_of_pants, punctured_torus
 from randcurve.words import CyclicWord, Word, alphabet_letters, cyclic_reduce, \
     least_rotation
@@ -110,9 +110,7 @@ def test_invariance_rotation_inversion_relabel():
             continue
         p = EdgePath.from_word(c, PT)
         base = self_intersection(p)
-        assert self_intersection(p.inverse()) == base
-        i = rng.randrange(len(c))
-        assert self_intersection(EdgePath(PT, p.darts[i:] + p.darts[:i])) == base
+        check_invariance(p, base, rng.randrange(len(c)))
         relabeled = CyclicWord.from_string(
             str(c).translate(str.maketrans("abAB", "bABa")), 2)
         assert self_intersection(EdgePath.from_word(relabeled, PT)) == base

@@ -10,13 +10,15 @@ from pathlib import Path
 
 import pytest
 
+import randcurve.stats as stats
 from randcurve.fricke import ParabolicWordError, minimize_length
 from randcurve.stats import (ConfigError, ExperimentConfig,
                              ExperimentTable, RowStats, WalkDistribution,
                              _sample_word, drift_estimate, fit_log_law,
                              fit_power_law, random_walk, run_experiment,
                              sample_ball_uniform)
-from randcurve.words import BallSpec, CyclicWord, ball_size, cyclic_reduce, sphere_size
+from randcurve.words import (BallSpec, CyclicWord, ball_size, cyclic_classes,
+                             cyclic_reduce, sphere_size)
 
 
 def test_distribution_validation():
@@ -235,6 +237,18 @@ def test_conj_ball_experiment():
     t = run_experiment(cfg)
     assert t.metadata["violations"] == 0
     assert t.metadata["classes_checked"] > 0
+
+
+def test_conj_ball_counts_violations(monkeypatch):
+    # a count over every bound: each (class, n) is a violation, no slack
+    monkeypatch.setattr(stats, "conjugates_in_ball", lambda c, n: 10**9)
+    cfg = ExperimentConfig(experiment="conj-ball", n_grid=(3, 4), samples=1,
+                           retain_raw=True)
+    t = run_experiment(cfg)
+    assert t.metadata["violations"] == sum(
+        1 for n in (3, 4) for c in cyclic_classes(4) if len(c) <= n)
+    assert [(r.n, r.samples, r.max) for r in t.rows] == [(3, 1, 0.0), (4, 1, 0.0)]
+    assert t.raw == {3: [], 4: []}
 
 
 # Output bytes of the exhaustive conj-ball table.  They depend only on the
