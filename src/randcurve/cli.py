@@ -8,6 +8,7 @@ seed produce byte-identical output regardless of --jobs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import __version__
@@ -98,17 +99,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a Monte Carlo experiment family")
     p.add_argument("--config", default=None, help="key=value file; flags override")
-    p.add_argument("--family", default=None)
+    # every dest below but config and out is an ExperimentConfig field
+    p.add_argument("--family", dest="experiment", metavar="FAMILY", default=None)
     p.add_argument("--sampler", default=None, choices=("walk", "ball"))
     p.add_argument("--n-grid", default=None, help="comma-separated radii")
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--rank", type=int, default=None)
     _add_surface(p, default=None)
-    p.add_argument("--dmax", type=int, default=None)
+    p.add_argument("--dmax", dest="d_max", metavar="DMAX", type=int, default=None)
     p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--alpha", default=None)
-    p.add_argument("--retain-raw", action="store_true")
+    p.add_argument("--retain-raw", action="store_true", default=None)
     p.add_argument("--out", default=None, help="CSV path (stdout if omitted)")
 
     p = sub.add_parser("verify", help="run the module invariant suites")
@@ -122,12 +124,9 @@ def _cmd_experiment(args) -> int:
     for alias, key in (("family", "experiment"), ("dmax", "d_max")):
         if alias in cfg:
             cfg[key] = cfg.pop(alias)
-    flags = {"experiment": args.family, "sampler": args.sampler,
-             "n_grid": args.n_grid, "samples": args.samples, "seed": args.seed,
-             "rank": args.rank, "surface": args.surface, "d_max": args.dmax,
-             "jobs": args.jobs, "alpha": args.alpha,
-             "retain_raw": args.retain_raw or None}
-    cfg.update((key, val) for key, val in flags.items() if val is not None)
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    cfg.update((key, val) for key, val in vars(args).items()
+               if key in fields and val is not None)
     if "experiment" not in cfg or "n_grid" not in cfg or "samples" not in cfg:
         print("experiment needs --family, --n-grid and --samples "
               "(or a --config supplying them)", file=sys.stderr)

@@ -124,7 +124,7 @@ def _length_from_trace(tr: float, scale: float) -> float:
 
 def geodesic_length(w: Word | CyclicWord, p: FrickePoint) -> LengthReport:
     """Hyperbolic length of the geodesic representative of ``w`` at ``p``."""
-    c = w if isinstance(w, CyclicWord) else cyclic_reduce(w)
+    c = cyclic_reduce(w)
     if len(c) == 0:
         raise FrickeError("trivial word has no geodesic")
     A, B = holonomy(p)
@@ -226,7 +226,7 @@ def minimize_curve_system(words, seeds=None, max_iter=20000) -> MinimizeResult:
     out inside the cusp shell is reported as divergence, i.e. a non-filling
     system.
     """
-    words = [w if isinstance(w, CyclicWord) else cyclic_reduce(w) for w in words]
+    words = [cyclic_reduce(w) for w in words]
     if any(len(w) == 0 for w in words):
         raise FrickeError("trivial word in system")
     if seeds is None:
@@ -234,7 +234,6 @@ def minimize_curve_system(words, seeds=None, max_iter=20000) -> MinimizeResult:
     best = None
     total_iters = 0
     saw_diverged = False
-    saw_budget = False
     for seed in seeds:
         p = seed.triple() if isinstance(seed, FrickePoint) else tuple(seed)
         value = _system_length(words, p)
@@ -295,14 +294,8 @@ def minimize_curve_system(words, seeds=None, max_iter=20000) -> MinimizeResult:
                 else:
                     status = "converged" if tnorm < GRAD_TOL else "budget"
                 break
-        if status == "diverged" and min(p) <= BOX_LO * 1.5:
-            saw_diverged = True
-            continue
-        if status == "budget":
-            saw_budget = True
-            continue
         if status == "converged":
-            t, tnorm = _tangent_grad_norm(words, p)
+            # both ways to "converged" leave tnorm measured at this p
             res = MinimizeResult("converged", FrickePoint(*p), value, tnorm, total_iters)
             if best is None or res.value < best.value:
                 best = res

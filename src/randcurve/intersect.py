@@ -58,7 +58,7 @@ class EdgePath:
 
     @classmethod
     def from_word(cls, w: Word | CyclicWord, g: RibbonGraph) -> "EdgePath":
-        c = w if isinstance(w, CyclicWord) else cyclic_reduce(w)
+        c = cyclic_reduce(w)
         if len(c) == 0:
             raise IntersectionError("trivial word carries no closed path")
         return cls(g, tuple(g.dart_for_letter(x) for x in c.letters))
@@ -568,12 +568,11 @@ def _spiraling_generator(g, darts, core_dart) -> int:
     L = len(darts)
     pair = g.pair
     axis = (core_dart, pair[core_dart])
-    if all(d in axis for d in darts):
-        raise IntersectionError("curve is a power of a conjugate of the core")
 
     def side(d):
         return g.cyc_orient(core_dart, d, pair[core_dart])
 
+    # spiraling has rejected powers of the core, so some dart is off the axis
     start0 = next(i for i in range(L) if darts[i] not in axis)
     runs = []
     run_start, run_len = 0, 0

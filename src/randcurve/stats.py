@@ -17,6 +17,7 @@ import random
 import statistics
 import types
 import typing
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
@@ -268,14 +269,22 @@ class ExperimentTable:
             fh.write("\n")
 
 
-def _summarize(n: int, values) -> RowStats:
-    values = sorted(values)
-    if len(values) >= 2:
-        q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    else:
-        q1 = med = q3 = float(values[0])
-    return RowStats(n, len(values), float(med), float(q1), float(q3),
-                    float(statistics.fmean(values)), float(values[-1]))
+def _table(config: ExperimentConfig, by_n: dict, meta: dict) -> ExperimentTable:
+    """One row per n summarizing its values (a row without values reads as
+    a single 0), the sorted values themselves if ``retain_raw``, and the
+    config and library version in the metadata, followed by ``meta``."""
+    rows = []
+    for n in config.n_grid:
+        values = sorted(by_n[n]) or [0]
+        if len(values) >= 2:
+            q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        else:
+            q1 = med = q3 = float(values[0])
+        rows.append(RowStats(n, len(values), float(med), float(q1), float(q3),
+                             float(statistics.fmean(values)), float(values[-1])))
+    raw = {n: sorted(by_n[n]) for n in config.n_grid} if config.retain_raw else {}
+    meta = {**asdict(config), "version": f"randcurve-{__version__}", **meta}
+    return ExperimentTable(rows, meta, raw)
 
 
 def _sample_word(cfg_sampler, rank, probs, n, seed, index) -> Word:
@@ -308,64 +317,60 @@ def _fixed_curve(alpha: str, rank: int, surface_name: str):
             (root.letters, root.inverse().letters))
 
 
-def _measure_one(args):
-    """One (n, index) measurement; top-level for pickling."""
-    (family, sampler, rank, surface_name, probs, n, index, seed, d_max, alpha) = args
-    g = _surface(surface_name)
-    w = _sample_word(sampler, rank, probs, n, seed, index)
-    gamma = cyclic_reduce(w)
-    out = {"n": n, "index": index}
-    if family == "conj-ball":
-        # exhaustive check is handled outside the per-sample path
-        raise ConfigError("conj-ball experiment is exhaustive, not sampled")
+def _measure_one(payload):
+    """One sample of a sampled family; top-level for pickling.
+
+    ``payload`` is ``(config, probs, n, index)``.  Returns ``(n, outcome,
+    value, length)``: ``outcome`` is ``ok``, a lifting search's ``found`` or
+    ``not_found``, a minimizer status (``converged``, ``diverged`` or
+    ``budget``), or a skip reason (``trivial``, ``alpha-power``,
+    ``parabolic``); ``value`` is what the sample adds to its row (None if
+    nothing); ``length`` is the length of its reduced class.
+    """
+    config, probs, n, index = payload
+    family = config.experiment
+    g = _surface(config.surface)
+    gamma = cyclic_reduce(_sample_word(config.sampler, config.rank, probs, n,
+                                       config.seed, index))
     if len(gamma) == 0:
-        out["skip"] = "trivial"
-        return out
+        return n, "trivial", None, 0
     path = EdgePath.from_word(gamma, g)
+    outcome, value = "ok", None
     if family == "self-int":
-        i = self_intersection(path)
-        check_quadratic_bound(i, n)
-        out["value"] = i
+        value = self_intersection(path)
+        check_quadratic_bound(value, n)
     elif family == "fixed-curve-int":
-        alpha_path, alpha_roots = _fixed_curve(alpha, rank, surface_name)
+        alpha_path, alpha_roots = _fixed_curve(config.alpha, config.rank,
+                                               config.surface)
         if gamma.primitive_root()[0].letters in alpha_roots:
-            out["skip"] = "alpha-power"
-            return out
-        out["value"] = intersection(path, alpha_path)
+            outcome = "alpha-power"
+        else:
+            value = intersection(path, alpha_path)
     elif family == "lifting":
         from .covers import check_degree_bounds, simple_lifting_degree
 
         i = self_intersection(path)
-        res = simple_lifting_degree(gamma, g, d_max=d_max)
-        sp = _max_spiraling(gamma, rank, g)
-        check_degree_bounds(res.degree, i, sp)
-        if res.found:
-            out["value"] = res.degree
-            out["deg_len_ratio"] = res.degree / len(gamma)
-        out["found"] = res.found
-        out["self_int"] = i
-        out["spiral"] = sp
+        res = simple_lifting_degree(gamma, g, d_max=config.d_max)
+        check_degree_bounds(res.degree, i, _max_spiraling(gamma, config.rank, g))
+        outcome, value = ("found" if res.found else "not_found"), res.degree
     elif family == "spiral":
-        out["value"] = _max_spiraling(gamma, rank, g)
-    elif family == "minimizer":
-        from .fricke import (ParabolicWordError, distance_proxy, minimize_length,
-                             rose_minimizer)
+        value = _max_spiraling(gamma, config.rank, g)
+    else:
+        from .fricke import (ParabolicWordError, distance_proxy,
+                             minimize_length, rose_minimizer)
 
         try:
             res = minimize_length(gamma)
         except ParabolicWordError:
             # a power of the boundary curve has no hyperbolic length
-            out["skip"] = "parabolic"
-            return out
-        out["status"] = res.status
-        if res.status == "converged":
+            return n, "parabolic", None, len(gamma)
+        outcome = res.status
+        if outcome == "converged":
             if not res.grad_norm < 1e-6:
                 raise AssertionError("converged minimizer has gradient "
                                      f"norm {res.grad_norm}")
-            out["value"] = distance_proxy(res.point, rose_minimizer())
-    else:
-        raise ConfigError(f"unknown experiment family {family!r}")
-    return out
+            value = distance_proxy(res.point, rose_minimizer())
+    return n, outcome, value, len(gamma)
 
 
 def _run_conj_ball(config: ExperimentConfig) -> ExperimentTable:
@@ -373,98 +378,69 @@ def _run_conj_ball(config: ExperimentConfig) -> ExperimentTable:
     ||c|| <= max word length in the grid and every radius n in the grid; a
     class over the bound counts in ``violations`` and adds no slack."""
     classes = list(cyclic_classes(max(config.n_grid), config.rank))
-    rows = []
-    raw = {}
+    slacks = {}
     violations = 0
     for n in config.n_grid:
-        slacks = []
+        slacks[n] = []
         for c in classes:
             if len(c) > n:
                 continue
             count = conjugates_in_ball(c, n)
             try:
-                slacks.append(check_conjugacy_bound(c, n, count))
+                slacks[n].append(check_conjugacy_bound(c, n, count))
             except AssertionError:
                 violations += 1
-        rows.append(_summarize(n, slacks or [0]))
-        if config.retain_raw:
-            raw[n] = sorted(slacks)
-    meta = _metadata(config)
-    meta["violations"] = violations
-    meta["classes_checked"] = len(classes)
-    return ExperimentTable(rows, meta, raw)
-
-
-def _metadata(config: ExperimentConfig) -> dict:
-    d = asdict(config)
-    d["version"] = f"randcurve-{__version__}"
-    return d
+    return _table(config, slacks, {"violations": violations,
+                                   "classes_checked": len(classes)})
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentTable:
     """Monte Carlo table for one experiment family.
 
-    Per-n summary statistics of the family's primary metric; extras
-    (divergence counts, not-found counts, skip counts) go in the metadata.
+    Each row summarizes the values of the samples at its n.  The outcomes
+    of ``_measure_one`` are tallied per n: ``per_n`` records ``diverged``,
+    ``budget``, ``converged``, ``not_found`` and ``found``, and
+    ``deg2_or_more`` (``not_found`` plus the found degrees >= 2); ``extras``
+    sums ``diverged``, ``budget`` and ``not_found`` over n, with every skip
+    reason as ``skipped``.  A lifting table also records the largest found
+    degree over class length as ``max_degree_to_length_ratio``.
     """
     if config.experiment == "conj-ball":
         return _run_conj_ball(config)
     probs = config.distribution().probs
-    payloads = []
-    for n in config.n_grid:
-        for idx in range(config.samples):
-            payloads.append((config.experiment, config.sampler, config.rank,
-                             config.surface, probs, n, idx, config.seed,
-                             config.d_max, config.alpha))
+    payloads = [(config, probs, n, idx)
+                for n in config.n_grid for idx in range(config.samples)]
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as ex:
             results = list(ex.map(_measure_one, payloads,
                                   chunksize=max(1, len(payloads) // (config.jobs * 8))))
     else:
         results = [_measure_one(p) for p in payloads]
+    tally = {n: Counter() for n in config.n_grid}
     by_n = {n: [] for n in config.n_grid}
-    extras = {"skipped": 0, "diverged": 0, "budget": 0, "not_found": 0}
-    max_deg_len_ratio = 0.0
-    extra_by_n = {n: {"diverged": 0, "budget": 0, "converged": 0, "not_found": 0,
-                      "found": 0, "deg2_or_more": 0}
-                  for n in config.n_grid}
-    for r in results:
-        n = r["n"]
-        if "skip" in r:
-            extras["skipped"] += 1
-            continue
-        if "status" in r:
-            extra_by_n[n][r["status"]] += 1
-            if r["status"] != "converged":
-                extras[r["status"]] += 1
-                continue
-        if "found" in r:
-            if r["found"]:
-                extra_by_n[n]["found"] += 1
-                max_deg_len_ratio = max(max_deg_len_ratio, r["deg_len_ratio"])
-                if r["value"] >= 2:
-                    extra_by_n[n]["deg2_or_more"] += 1
-            else:
-                extras["not_found"] += 1
-                extra_by_n[n]["not_found"] += 1
-                extra_by_n[n]["deg2_or_more"] += 1
-                continue
-        by_n[n].append(r["value"])
-    rows = []
-    raw = {}
-    for n in config.n_grid:
-        vals = by_n[n] if by_n[n] else [0]
-        rows.append(_summarize(n, vals))
-        if config.retain_raw:
-            raw[n] = sorted(by_n[n])
-    meta = _metadata(config)
-    meta["extras"] = extras
-    meta["per_n"] = {str(n): extra_by_n[n] for n in config.n_grid}
-    if config.experiment == "lifting":
+    for n, outcome, value, _ in results:
+        tally[n][outcome] += 1
+        if value is not None:
+            by_n[n].append(value)
+    lifting = config.experiment == "lifting"
+    total = sum(tally.values(), Counter())
+    extras = {"skipped": total["trivial"] + total["alpha-power"] + total["parabolic"],
+              "diverged": total["diverged"], "budget": total["budget"],
+              "not_found": total["not_found"]}
+    per_n = {}
+    for n, c in tally.items():
+        found_deg2 = sum(1 for v in by_n[n] if v >= 2) if lifting else 0
+        per_n[str(n)] = {"diverged": c["diverged"], "budget": c["budget"],
+                         "converged": c["converged"], "not_found": c["not_found"],
+                         "found": c["found"], "deg2_or_more": c["not_found"] + found_deg2}
+    meta = {"extras": extras, "per_n": per_n}
+    if lifting:
         # recorded, not asserted: degree/length ratio for the linear
         # upper-bound regime
-        meta["max_degree_to_length_ratio"] = max_deg_len_ratio
-    return ExperimentTable(rows, meta, raw)
+        meta["max_degree_to_length_ratio"] = max(
+            (value / length for _, outcome, value, length in results
+             if outcome == "found"), default=0.0)
+    return _table(config, by_n, meta)
 
 
 # --- fits ---------------------------------------------------------------------

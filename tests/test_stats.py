@@ -183,11 +183,72 @@ def test_config_rejects_trivial_alpha():
                      alpha="abAB")
 
 
-def test_experiment_reproducible_across_jobs():
-    base = dict(experiment="self-int", n_grid=(8, 16), samples=25, seed=4)
-    t1 = run_experiment(ExperimentConfig(**base))
-    t2 = run_experiment(ExperimentConfig(**base, jobs=2))
-    assert t1.to_csv() == t2.to_csv()
+# Output bytes of one small seeded table per sampled family: the CSV and
+# the sha256 of the .meta.json at jobs=1.  A change to the harness or to a
+# family's measurement must leave them exactly as they are.
+SAMPLED_PINS = [
+    pytest.param(
+        dict(experiment="self-int", n_grid=(8, 16), samples=25, seed=4),
+        "n,samples,median,q1,q3,mean,max\n"
+        "8,25,2.0,1.0,3.0,2.12,6.0\n"
+        "16,25,9.0,3.0,12.0,8.2,22.0\n",
+        "86f3a7d9b3a7d13150c99ef681e004f9555f68d23b5c6f2f97b54296741a5f25",
+        id="self-int-walk"),
+    pytest.param(
+        dict(experiment="self-int", sampler="ball", n_grid=(4, 12), samples=12,
+             seed=3),
+        "n,samples,median,q1,q3,mean,max\n"
+        "4,12,0.5,0.0,1.0,0.5,1.0\n"
+        "12,12,13.5,11.75,16.25,12.833333333333334,21.0\n",
+        "352645595cb6f038ca10c743f2e9c3545046b80f639eefdbf5985eb2c740676b",
+        id="self-int-ball"),
+    pytest.param(
+        dict(experiment="fixed-curve-int", n_grid=(4, 12), samples=12, seed=3,
+             alpha="ab"),
+        "n,samples,median,q1,q3,mean,max\n"
+        "4,9,2.0,2.0,2.0,2.0,4.0\n"
+        "12,11,4.0,2.0,4.0,3.4545454545454546,6.0\n",
+        "56baf7fcdb46d81bbeb1d5c9cbcef42eb084fc87809f210b1d93bdc1485d909a",
+        id="fixed-curve-int"),
+    pytest.param(
+        dict(experiment="lifting", n_grid=(6, 14), samples=12, seed=3, d_max=3),
+        "n,samples,median,q1,q3,mean,max\n"
+        "6,10,1.0,1.0,1.75,1.3,2.0\n"
+        "14,5,1.0,1.0,2.0,1.4,2.0\n",
+        "6ec8a8fd1c23c0165b7c68f937019829450d050cb994f21931a0a5dc786ec6a9",
+        id="lifting"),
+    pytest.param(
+        dict(experiment="spiral", n_grid=(6, 20), samples=12, seed=3),
+        "n,samples,median,q1,q3,mean,max\n"
+        "6,11,0.0,0.0,1.0,0.45454545454545453,2.0\n"
+        "20,12,2.0,0.0,3.0,1.75,4.0\n",
+        "c2f11913d6e23f5a92521f418f54eab4c57717d4fb03e0f0f2904ca5997142b2",
+        id="spiral"),
+    pytest.param(
+        dict(experiment="minimizer", n_grid=(4, 6, 10), samples=6, seed=0),
+        "n,samples,median,q1,q3,mean,max\n"
+        "4,1,0.0,0.0,0.0,0.0,0.0\n"
+        "6,3,0.4514889387026157,0.44737596107466115,0.6135009198182565,"
+        "0.5567549410277398,0.7755129009338972\n"
+        "10,2,0.39630549135925514,0.3365779655164548,0.45603301720205547,"
+        "0.39630549135925514,0.5157605430448559\n",
+        "4afacc39a8e710139a65f6e64bed6f08161d423c1d722dcdfcbc175718e9e356",
+        id="minimizer"),
+]
+
+
+@pytest.mark.parametrize("kw, csv, meta_sha256", SAMPLED_PINS)
+def test_experiment_reproducible_across_jobs(tmp_path, kw, csv, meta_sha256):
+    # jobs=2 pickles the config into a process pool; only the recorded
+    # "jobs" value may differ in the metadata
+    metas = []
+    for jobs in (1, 2):
+        path = os.path.join(tmp_path, f"jobs{jobs}.csv")
+        run_experiment(ExperimentConfig(**kw, jobs=jobs)).save(path)
+        assert open(path, "rb").read() == csv.encode()
+        metas.append(open(path + ".meta.json", "rb").read())
+    assert hashlib.sha256(metas[0]).hexdigest() == meta_sha256
+    assert metas[1] == metas[0].replace(b'"jobs": 1,', b'"jobs": 2,')
 
 
 def test_csv_format_and_save(tmp_path):
