@@ -13,10 +13,17 @@ self-intersection of a primitive path is half its ordered count; a proper
 power w^k is handled by the k-parallel-strand cable model, contributing k^2
 crossings per base crossing plus k-1 for closing the cable.
 
+``spiraling`` reads the same circular order of ends.  A lift that runs s
+darts along the axis of a simple core, whose root has c darts, and leaves
+the axis on one side at both ends crosses s // c of its core translates,
+or one fewer when c divides s and, at the vertex where the last translate's
+backward end and its own forward end leave the axis, its own comes first.
+
 Oracles kept for the tests: ``primitive_self_count`` compares rays pairwise
 and weights each linked pair by 1/overlap, and ``brute_min_crossings``
 minimizes chord crossings over every band-consistent strand ordering of the
-same diagram.
+same diagram.  The ray helpers serve only these oracles and the tests'
+translate-counting oracle for ``spiraling``.
 """
 
 from __future__ import annotations
@@ -92,27 +99,19 @@ def edge_path(w: Word | CyclicWord, g: RibbonGraph) -> EdgePath:
     return EdgePath.from_word(w, g)
 
 
-# --- ray machinery ---------------------------------------------------------
+# --- ray machinery: oracles only -------------------------------------------
 #
 # A ray is a callable j -> dart: the j-th outgoing dart along an infinite
 # reduced path in the universal cover, based at a common lift of a vertex.
 
 def _forward_ray(darts, s):
     n = len(darts)
-
-    def at(j):
-        return darts[(s + j) % n]
-
-    return at
+    return lambda j: darts[(s + j) % n]
 
 
 def _backward_ray(darts, pair, s):
     n = len(darts)
-
-    def at(j):
-        return pair[darts[(s - 1 - j) % n]]
-
-    return at
+    return lambda j: pair[darts[(s - 1 - j) % n]]
 
 
 def _divergence(r1, r2, cap):
@@ -145,19 +144,9 @@ def _orient(g: RibbonGraph, u, v, w, cap) -> int:
     return g.cyc_orient(u(m), v(m), w(m))
 
 
-def _linked(g, chord1, chord2, cap, equal_threshold=None) -> bool:
-    """Whether two chords (pairs of ends) strictly interleave.
-
-    ``equal_threshold``: when set, ray pairs agreeing to that depth count as
-    equal ends, and chords sharing an end never cross.
-    """
-    p, q = chord1
-    s, t = chord2
-    if equal_threshold is not None:
-        for a in (p, q):
-            for b in (s, t):
-                if _divergence(a, b, equal_threshold) is None:
-                    return False
+def _linked(g, chord1, chord2, cap) -> bool:
+    """Whether two chords (pairs of distinct ends) strictly interleave."""
+    (p, q), (s, t) = chord1, chord2
     return _orient(g, p, s, q, cap) != _orient(g, p, t, q, cap)
 
 
@@ -467,142 +456,63 @@ def brute_min_crossings(paths, g: RibbonGraph | None = None, budget: int = 8) ->
 
 # --- spiraling -------------------------------------------------------------
 
-def _axis_side(g, ray, axf, axb, cap):
-    """Side of the core axis a ray escapes toward (+1/-1), None if the ray
-    is an end of the axis itself.
-
-    The side is the orientation of (axis-forward, ray, axis-backward) at the
-    divergence vertex; it is constant on each complementary component.
-    """
-    df = _divergence(ray, axf, cap)
-    db = _divergence(ray, axb, cap)
-    if df is None or db is None:
-        return None
-    if df >= db:
-        fwd = axf(df)
-        back = g.pair[axf(df - 1)] if df > 0 else axb(0)
-        return g.cyc_orient(fwd, ray(df), back)
-    fwd = g.pair[axb(db - 1)]
-    return g.cyc_orient(fwd, ray(db), axb(db))
-
-
-def _translate_ray(g, core, j, ray):
-    """Reduced left product core^j * ray as a new ray (core given as darts)."""
-    mcore = len(core)
-    m = mcore * j
-    kappa = 0
-    while kappa < m and ray(kappa) == g.pair[core[(m - 1 - kappa) % mcore]]:
-        kappa += 1
-    shift = m - 2 * kappa
-
-    def at(idx):
-        if idx < m - kappa:
-            return core[idx % mcore]
-        return ray(idx - shift)
-
-    return at
-
-
-def _lift_crossings(g, core, eta_minus, eta_plus, j_max, cap):
-    count = 0
-    for j in range(1, j_max + 1):
-        t_minus = _translate_ray(g, core, j, eta_minus)
-        t_plus = _translate_ray(g, core, j, eta_plus)
-        if _linked(g, (eta_minus, eta_plus), (t_minus, t_plus), cap,
-                   equal_threshold=cap):
-            count += 1
-    return count
-
-
 def spiraling(gamma: CyclicWord, alpha: CyclicWord, g: RibbonGraph) -> int:
     """Maximal self-crossing count of a lift of ``gamma`` to the annular
     cover around ``alpha`` whose two ends escape through a common end.
 
-    Lifts touching the core axis are enumerated through the rotations of
-    ``gamma``; lifts that never meet the axis are embedded next to one end
-    and contribute 0.  The crossings of a lift are the core-translates of it
-    that link it, counted once per translate pair.
+    A lift meeting the core axis shares with it a maximal run of s darts of
+    ``gamma`` that follow the core's root (c darts) or its inverse.  If both
+    of its ends leave the axis on one side, its translate by k roots crosses
+    it when kc < s, not when kc > s, and when kc = s exactly if the
+    translate's backward end comes before its own forward end along that
+    side.  Other lifts contribute 0.
     """
     if len(alpha) == 0 or len(gamma) == 0:
         raise WordError("spiraling needs nontrivial curves")
-    alpha_path = EdgePath.from_word(alpha, g)
-    if self_intersection(alpha_path) != 0:
+    if self_intersection(EdgePath.from_word(alpha, g)) != 0:
         raise IntersectionError("spiraling core must be simple")
-    root_a, _ = alpha.primitive_root()
-    root_g, _ = gamma.primitive_root()
-    if root_g.letters in (root_a.letters, root_a.inverse().letters):
+    pair = g.pair
+    d = tuple(g.dart_for_letter(x) for x in gamma.letters)
+    root = tuple(g.dart_for_letter(x) for x in alpha.primitive_root()[0].letters)
+    L, c = len(d), len(root)
+    cores = (root, tuple(pair[x] for x in reversed(root)))
+    if L % c == 0 and any(d == (core[r:] + core[:r]) * (L // c)
+                          for core in cores for r in range(c)):
         raise IntersectionError("curve is a power of a conjugate of the core")
-
-    darts = tuple(g.dart_for_letter(x) for x in gamma.letters)
-    core = tuple(g.dart_for_letter(x) for x in root_a.letters)
-    if len(core) == 1:
-        return _spiraling_generator(g, darts, core[0])
-
-    L = len(darts)
-    j_max = L + 2
-    cap = 2 * (j_max * len(core) + L) + 8
-    core_rev = tuple(g.pair[d] for d in reversed(core))
-    axf = _forward_ray(core, 0)
-    axb = _forward_ray(core_rev, 0)
     best = 0
-    for i in range(L):
-        eta_plus = _forward_ray(darts, i)
-        eta_minus = _backward_ray(darts, g.pair, i)
-        side_p = _axis_side(g, eta_plus, axf, axb, cap)
-        side_m = _axis_side(g, eta_minus, axf, axb, cap)
-        if side_p is None or side_m is None or side_p != side_m:
-            continue
-        best = max(best, _lift_crossings(g, core, eta_minus, eta_plus, j_max, cap))
+    for core in cores:
+        for p in range(L):
+            for r in range(c):
+                if d[p] != core[r] or d[p - 1] == core[r - 1]:
+                    continue  # not the start of a run at phase r
+                s = 1
+                while d[(p + s) % L] == core[(r + s) % c]:
+                    s += 1
+                if s // c <= best:
+                    continue
+                q = (p + s) % L
+                side = g.cyc_orient(d[p], pair[d[p - 1]], pair[core[r - 1]])
+                if side != g.cyc_orient(core[(r + s) % c], d[q], pair[d[q - 1]]):
+                    continue
+                # side +1 lies clockwise of the incoming axis dart, so the
+                # translate's end comes first when the order there is -side
+                best = s // c - (s % c == 0 and
+                                 _end_order(g, d, p, q) != -side)
     return best
 
 
-def _spiraling_generator(g, darts, core_dart) -> int:
-    """Fast path for a one-edge core: only maximal core-runs can spiral.
-
-    A lift through a run of length m winds m times around the core; its two
-    ends escape through a common end exactly when the darts flanking the run
-    fall on the same side of the axis, and such a lift crosses its
-    translates either m-1 or m times.  Only maximal-length candidates need
-    the exact translate count.
-    """
-    L = len(darts)
-    pair = g.pair
-    axis = (core_dart, pair[core_dart])
-
-    def side(d):
-        return g.cyc_orient(core_dart, d, pair[core_dart])
-
-    # spiraling has rejected powers of the core, so some dart is off the axis
-    start0 = next(i for i in range(L) if darts[i] not in axis)
-    runs = []
-    run_start, run_len = 0, 0
-    for off in range(1, L + 1):
-        i = (start0 + off) % L
-        if darts[i] in axis:
-            if run_len == 0:
-                run_start = i
-            run_len += 1
-        else:
-            if run_len:
-                runs.append((run_start, run_len))
-            run_len = 0
-
-    candidates = []
-    for start, m in runs:
-        before = darts[(start - 1) % L]
-        after = darts[(start + m) % L]
-        if side(pair[before]) == side(after):
-            candidates.append((start, m))
-    if not candidates:
-        return 0
-    m_max = max(m for _, m in candidates)
-    cap = 2 * L + 2 * m_max + 8
-    core = (core_dart,)
-    for start, m in candidates:
-        if m != m_max:
-            continue
-        eta_plus = _forward_ray(darts, start)
-        eta_minus = _backward_ray(darts, pair, start)
-        if _lift_crossings(g, core, eta_minus, eta_plus, m_max, cap) == m_max:
-            return m_max
-    return m_max - 1
+def _end_order(g: RibbonGraph, d, p: int, q: int) -> int:
+    """Orientation (+1 counterclockwise) of the end back along ``d[q-1]``,
+    the backward end at ``p`` and the forward end at ``q``, which leave one
+    vertex: the first darts where the two ends differ, counterclockwise from
+    the dart both arrived by (the turns of ``_sorted_ends``).  Both ends have
+    period len(d), so len(d) darts decide; equal ends would make the class
+    conjugate to its inverse."""
+    L = len(d)
+    prev = d[q - 1]
+    for j in range(L):
+        xb, xf = g.pair[d[(p - 1 - j) % L]], d[(q + j) % L]
+        if xb != xf:
+            return g.cyc_orient(g.pair[prev], xb, xf)
+        prev = xf
+    raise AssertionError("a class agrees with its inverse: invariant violated")

@@ -25,9 +25,10 @@ from . import __version__
 from .intersect import (EdgePath, check_quadratic_bound, intersection,
                         self_intersection, spiraling)
 from .ribbon import SURFACE_PRESETS, surface
-from .words import (BallSpec, CyclicWord, Word, WordError, alphabet_letters,
-                    check_conjugacy_bound, conjugates_in_ball, cyclic_classes,
-                    cyclic_reduce, reduce_letters, sphere_size)
+from .words import (BallSpec, CyclicWord, Word, WordError, _unchecked,
+                    _validate_letters, alphabet_letters, check_conjugacy_bound,
+                    conjugates_in_ball, cyclic_classes, cyclic_reduce,
+                    reduce_letters, sphere_size)
 
 
 class ConfigError(ValueError):
@@ -68,16 +69,11 @@ class WalkDistribution:
     def is_uniform(self) -> bool:
         return all(abs(p - self.probs[0]) < 1e-15 for p in self.probs)
 
-    @property
-    def is_symmetric(self) -> bool:
-        letters = alphabet_letters(self.rank)
-        return all(abs(self.probs[letters.index(i)] - self.probs[letters.index(-i)]) < 1e-15
-                   for i in range(1, self.rank + 1))
-
 
 def uniform_reduced_word(rng: random.Random, rank: int, length: int) -> Word:
     """Uniform reduced word of the given length: a uniform first letter, then
     at each step a uniform letter among the 2r-1 that do not cancel."""
+    _validate_letters((), rank)
     if length == 0:
         return Word((), rank)
     letters = alphabet_letters(rank)
@@ -85,7 +81,7 @@ def uniform_reduced_word(rng: random.Random, rank: int, length: int) -> Word:
     word = [letters[rng.randrange(2 * rank)]]
     for _ in range(length - 1):
         word.append(after[word[-1]][rng.randrange(2 * rank - 1)])
-    return Word(tuple(word), rank)
+    return _unchecked(Word, tuple(word), rank)
 
 
 def sample_word(rng: random.Random, sampler: str, rank: int, probs, n: int) -> Word:
@@ -97,7 +93,9 @@ def sample_word(rng: random.Random, sampler: str, rank: int, probs, n: int) -> W
     ``probs`` is ignored.
     """
     if sampler == "walk":
-        return Word(tuple(rng.choices(alphabet_letters(rank), weights=probs, k=n)), rank)
+        _validate_letters((), rank)
+        return _unchecked(Word, tuple(rng.choices(alphabet_letters(rank),
+                                                  weights=probs, k=n)), rank)
     cum = []
     total = 0
     for k in range(n + 1):
@@ -334,10 +332,9 @@ def _measure_one(payload):
                                        config.seed, index))
     if len(gamma) == 0:
         return n, "trivial", None, 0
-    path = EdgePath.from_word(gamma, g)
     outcome, value = "ok", None
     if family == "self-int":
-        value = self_intersection(path)
+        value = self_intersection(EdgePath.from_word(gamma, g))
         check_quadratic_bound(value, n)
     elif family == "fixed-curve-int":
         alpha_path, alpha_roots = _fixed_curve(config.alpha, config.rank,
@@ -345,11 +342,11 @@ def _measure_one(payload):
         if gamma.primitive_root()[0].letters in alpha_roots:
             outcome = "alpha-power"
         else:
-            value = intersection(path, alpha_path)
+            value = intersection(EdgePath.from_word(gamma, g), alpha_path)
     elif family == "lifting":
         from .covers import check_degree_bounds, simple_lifting_degree
 
-        i = self_intersection(path)
+        i = self_intersection(EdgePath.from_word(gamma, g))
         res = simple_lifting_degree(gamma, g, d_max=config.d_max)
         check_degree_bounds(res.degree, i, _max_spiraling(gamma, config.rank, g))
         outcome, value = ("found" if res.found else "not_found"), res.degree

@@ -185,7 +185,7 @@ class CyclicWord:
         if not inv:
             return self
         k = least_rotation(inv)
-        return _canonical(inv[k:] + inv[:k], self.rank)
+        return _unchecked(CyclicWord, inv[k:] + inv[:k], self.rank)
 
     def rotations(self) -> list[tuple[int, ...]]:
         w = self.letters
@@ -200,18 +200,18 @@ class CyclicWord:
         for p in range(1, n):
             if n % p == 0 and w == w[:p] * (n // p):
                 # a period of a least rotation is itself a least rotation
-                return _canonical(w[:p], self.rank), n // p
+                return _unchecked(CyclicWord, w[:p], self.rank), n // p
         return self, 1
 
 
-def _canonical(letters: tuple[int, ...], rank: int) -> CyclicWord:
-    """The ``CyclicWord`` of letters the caller has just put in canonical
-    form, without the checks of ``__post_init__`` (a second Booth pass among
-    them)."""
-    c = object.__new__(CyclicWord)
-    object.__setattr__(c, "letters", letters)
-    object.__setattr__(c, "rank", rank)
-    return c
+def _unchecked(cls, letters: tuple[int, ...], rank: int):
+    """The ``Word`` or ``CyclicWord`` of ``letters`` that the caller drew from
+    the alphabet of a checked ``rank`` or put in canonical form, without the
+    checks of ``__post_init__`` (a letter scan and, for a class, Booth)."""
+    w = object.__new__(cls)
+    object.__setattr__(w, "letters", letters)
+    object.__setattr__(w, "rank", rank)
+    return w
 
 
 def word(s: str, rank: int | None = None) -> Word:
@@ -240,7 +240,7 @@ def cyclic_reduce(w: Word | CyclicWord) -> CyclicWord:
     if not core:
         return CyclicWord((), w.rank)
     k = least_rotation(core)
-    return _canonical(core[k:] + core[:k], w.rank)
+    return _unchecked(CyclicWord, core[k:] + core[:k], w.rank)
 
 
 def are_conjugate(u: Word | CyclicWord, v: Word | CyclicWord) -> bool:
@@ -281,7 +281,7 @@ def cyclic_classes(max_len: int, rank: int = 2):
                 t += 1
                 a[t] = a[t - per[t - 1]] - 1
             elif n % per[n] == 0 and v != inv[a[1]]:
-                yield _canonical(tuple(letters[i] for i in a[1:]), rank)
+                yield _unchecked(CyclicWord, tuple(letters[i] for i in a[1:]), rank)
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,11 @@ def test_spiral():
     assert code == 0 and out == "3\n"
 
 
+def test_spiral_two_letter_core():
+    code, out = run_cli("spiral", "--word", "baabab", "--alpha", "ab")
+    assert code == 0 and out == "2\n"
+
+
 def test_count_subgroups_free():
     code, out = run_cli("count-subgroups", "--free", "--rank", "2", "--dmax", "3")
     assert code == 0
@@ -68,6 +73,11 @@ def test_walk_and_ball():
     assert code1 == code2 == 0 and out1 == out2 and len(out1.strip()) == 12
     code, out = run_cli("ball", "--n", "5", "--seed", "3")
     assert code == 0 and len(out.strip()) <= 5
+
+
+def test_walk_rank_out_of_range(capsys):
+    assert main(["walk", "--rank", "27", "--n", "5"]) == 1
+    assert capsys.readouterr().err == "error: rank must be in 1..26, got 27\n"
 
 
 def test_minimize_diverged_and_csv():

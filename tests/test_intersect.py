@@ -4,11 +4,14 @@ import random
 import pytest
 
 from randcurve.intersect import (BudgetExceeded, EdgePath, IntersectionError,
-                                 brute_min_crossings, check_invariance,
+                                 _backward_ray, _divergence, _forward_ray,
+                                 _linked, brute_min_crossings, check_invariance,
                                  intersection, self_intersection, spiraling)
-from randcurve.ribbon import PermRep, pair_of_pants, punctured_torus
-from randcurve.words import CyclicWord, Word, alphabet_letters, cyclic_reduce, \
-    least_rotation
+from randcurve.ribbon import (PermRep, genus2_boundary1, pair_of_pants,
+                              punctured_torus)
+from randcurve.stats import uniform_reduced_word
+from randcurve.words import CyclicWord, Word, alphabet_letters, cyclic_classes, \
+    cyclic_reduce, least_rotation
 
 PT = punctured_torus()
 PP = pair_of_pants()
@@ -217,3 +220,80 @@ def test_spiraling_bounded_by_run_length():
             else:
                 run = 0
         assert 0 <= val <= min(longest, len(c))
+
+
+# --- spiraling oracle: the core translates of each lift, compared on rays ---
+
+def _axis_side(g, ray, axf, axb, cap):
+    """Side (+1/-1) of the core axis that a ray escapes toward, None if the
+    ray is an end of the axis: the orientation of (axis forward, ray, axis
+    backward) where the ray leaves the axis."""
+    df, db = _divergence(ray, axf, cap), _divergence(ray, axb, cap)
+    if df is None or db is None:
+        return None
+    if df >= db:
+        back = g.pair[axf(df - 1)] if df > 0 else axb(0)
+        return g.cyc_orient(axf(df), ray(df), back)
+    return g.cyc_orient(g.pair[axb(db - 1)], ray(db), axb(db))
+
+
+def _translate_ray(g, core, j, ray):
+    """Reduced left product core^j * ray as a new ray (core given as darts)."""
+    c, m = len(core), len(core) * j
+    kappa = 0
+    while kappa < m and ray(kappa) == g.pair[core[(m - 1 - kappa) % c]]:
+        kappa += 1
+    return lambda i: core[i % c] if i < m - kappa else ray(i - m + 2 * kappa)
+
+
+def spiraling_by_translates(gamma, alpha, g):
+    """Oracle for ``spiraling``: for the lift through each rotation of
+    ``gamma`` whose two ends leave the core axis on one side, count the
+    translates by core^j, j = 1..L+2, whose chord shares no end with the
+    lift's and is linked with it; rays are compared to a fixed depth."""
+    darts = tuple(g.dart_for_letter(x) for x in gamma.letters)
+    core = tuple(g.dart_for_letter(x) for x in alpha.primitive_root()[0].letters)
+    L = len(darts)
+    j_max = L + 2
+    cap = 2 * (j_max * len(core) + L) + 8
+    axf = _forward_ray(core, 0)
+    axb = _forward_ray(tuple(g.pair[d] for d in reversed(core)), 0)
+    best = 0
+    for i in range(L):
+        chord = (_backward_ray(darts, g.pair, i), _forward_ray(darts, i))
+        sides = {_axis_side(g, ray, axf, axb, cap) for ray in chord}
+        if None in sides or len(sides) > 1:
+            continue
+        count = 0
+        for j in range(1, j_max + 1):
+            shifted = tuple(_translate_ray(g, core, j, ray) for ray in chord)
+            if all(_divergence(a, b, cap) is not None
+                   for a in chord for b in shifted):
+                count += _linked(g, chord, shifted, cap)
+        best = max(best, count)
+    return best
+
+
+def test_spiraling_matches_translate_oracle():
+    cases = [(c, C(core), g)
+             for g, cores in ((PT, ("a", "b", "A", "ab", "aB")),
+                              (PP, ("a", "b", "A", "ab")))
+             for core in cores
+             for c in cyclic_classes(7 if len(core) == 1 else 5, 2)]
+    cases += [(c, CyclicWord.from_string(core, 4), genus2_boundary1())
+              for core in "ac" for c in cyclic_classes(3, 4)]
+    rng = random.Random(12)
+    long_words = []
+    while len(long_words) < 20:
+        c = cyclic_reduce(uniform_reduced_word(rng, 2, rng.randrange(30, 61)))
+        if len(c) >= 30:
+            long_words.append(c)
+    cases += [(c, C(core), PT) for core in ("a", "ab") for c in long_words]
+    for gamma, alpha, g in cases:
+        root = alpha.primitive_root()[0]
+        if gamma.primitive_root()[0] in (root, root.inverse()):
+            with pytest.raises(IntersectionError):
+                spiraling(gamma, alpha, g)
+        else:
+            assert spiraling(gamma, alpha, g) == \
+                spiraling_by_translates(gamma, alpha, g), (gamma, alpha)
