@@ -299,9 +299,8 @@ def simple_lifting_degree(gamma: CyclicWord, g: RibbonGraph,
         fwd = _embedded_walk(root.letters, power, masks, g.rank, d)
         if fwd is not None:
             rep = PermRep(d, _complete(fwd, d))
-            cycles = perm_cycles(rep.perm_of(gamma.letters))
-            idx = next(i for i, cyc in enumerate(cycles) if 0 in cyc)
-            return DegreeSearchResult(d, d_max, rep, idx)
+            # elevations() lists the cycle through sheet 0 first
+            return DegreeSearchResult(d, d_max, rep, 0)
     return DegreeSearchResult(None, d_max)
 
 

@@ -21,6 +21,9 @@ GRAD_TOL = 1e-6
 BOX_LO = 2.0 + 1e-6
 BOX_HI = 1e6
 PINCH_TOL = 1e-3
+SEEDS = ((3.0, 3.0, 3.0), (3.0, 3.0, 6.0))
+MAX_ITER = 20000
+MAX_NEWTON = 60
 
 
 class FrickeError(ValueError):
@@ -116,8 +119,7 @@ def _length_from_trace(tr: float, scale: float) -> float:
             raise ParabolicWordError(f"trace {tr:.6f} is not hyperbolic")
         return 2.0 * math.acosh(t / 2.0)
     log_t = math.log(t) + scale
-    # arccosh(t/2) = log(t) - log 2 + log(1 + sqrt(1 - 4/t^2)) - log... exact:
-    # log((t + sqrt(t^2-4))/2) = log t + log((1 + sqrt(1-4/t^2))/2)
+    # arccosh(T/2) = log T + log((1 + sqrt(1 - 4/T^2)) / 2), log T = log_t
     correction = math.log1p(math.sqrt(max(0.0, 1.0 - 4.0 * math.exp(-2.0 * log_t)))) - math.log(2.0)
     return 2.0 * (log_t + correction)
 
@@ -158,7 +160,7 @@ def _grad_markov(p):
     return (2 * x - y * z, 2 * y - x * z, 2 * z - x * y)
 
 
-def _project_markov(p, max_newton=60):
+def _project_markov(p):
     """Newton step along the cubic's gradient direction until on-surface.
 
     The residual tolerance is relative to the monomial scale; an absolute
@@ -171,7 +173,7 @@ def _project_markov(p, max_newton=60):
         return None
     g = (g[0] / gn, g[1] / gn, g[2] / gn)
     s = 0.0
-    for _ in range(max_newton):
+    for _ in range(MAX_NEWTON):
         q = (x + s * g[0], y + s * g[1], z + s * g[2])
         f = markov_residual(*q)
         scale = 1.0 + q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + abs(q[0] * q[1] * q[2])
@@ -216,40 +218,35 @@ def _tangent_grad_norm(words, p):
     return t, math.sqrt(sum(v * v for v in t))
 
 
-def minimize_curve_system(words, seeds=None, max_iter=20000) -> MinimizeResult:
+def minimize_curve_system(words) -> MinimizeResult:
     """Projected gradient descent for the total length of a word system.
 
-    Iterates stay on the cubic (projection after every step); convergence
-    means the finite-difference gradient projected to the tangent plane has
-    norm below 1e-6 at a point away from the cusp shell (all traces above
-    2 + 1e-3).  Escaping the box (coordinate at 2+1e-6 or 1e6) or flattening
-    out inside the cusp shell is reported as divergence, i.e. a non-filling
-    system.
+    Iterates stay on the cubic (projection after every step).  Each seed in
+    ``SEEDS`` ends converged when the finite-difference gradient projected to
+    the tangent plane has norm below ``GRAD_TOL``; diverged by box when a step
+    leaves 2 + 1e-6 < coordinate < 1e6, or by pinch when the gradient goes
+    flat or the line search stalls with some trace within ``PINCH_TOL`` of 2
+    (a non-filling system); budget when the line search stalls elsewhere or
+    after ``MAX_ITER`` iterations.  The result is the shortest converged seed,
+    else diverged if a seed diverged, else budget; ``iterations`` counts the
+    iterations of every seed run.
     """
     words = [cyclic_reduce(w) for w in words]
     if any(len(w) == 0 for w in words):
         raise FrickeError("trivial word in system")
-    if seeds is None:
-        seeds = [(3.0, 3.0, 3.0), (3.0, 3.0, 6.0)]
     best = None
     total_iters = 0
     saw_diverged = False
-    for seed in seeds:
-        p = seed.triple() if isinstance(seed, FrickePoint) else tuple(seed)
+    for p in SEEDS:
         value = _system_length(words, p)
         step = 0.1
         status = "budget"
         prev_p = prev_t = None
-        for it in range(max_iter):
+        for _ in range(MAX_ITER):
             total_iters += 1
-            if not (BOX_LO < min(p) and max(p) < BOX_HI):
-                status = "diverged"
-                break
             t, tnorm = _tangent_grad_norm(words, p)
             if tnorm < GRAD_TOL:
-                # a pinching class flattens out before the box is reached:
-                # gradient and cusp distance both decay like 1/coord^2
-                status = "diverged" if min(p) <= 2.0 + PINCH_TOL else "converged"
+                status = "converged"
                 break
             if prev_p is not None:
                 # Barzilai-Borwein spectral step, a cheap curvature estimate
@@ -260,58 +257,47 @@ def minimize_curve_system(words, seeds=None, max_iter=20000) -> MinimizeResult:
                 if den > 0 and num > 0:
                     step = min(max(num / den, 1e-12), 1e8)
             prev_p, prev_t = p, t
-            moved = False
             while step > 1e-14:
                 raw = tuple(p[i] - step * t[i] for i in range(3))
                 cand = _project_markov(raw)
-                if cand is not None and (min(cand) <= BOX_LO or max(cand) >= BOX_HI):
-                    status = "diverged"
-                    break
-                if cand is None:
-                    if min(raw) <= BOX_LO:
-                        status = "diverged"
-                        break
+                if cand is None and min(raw) > BOX_LO:
                     step *= 0.5
                     continue
+                if cand is None or min(cand) <= BOX_LO or max(cand) >= BOX_HI:
+                    status = "diverged"
+                    break
                 try:
                     cand_val = _system_length(words, cand)
                 except ParabolicWordError:
-                    step *= 0.5
-                    continue
+                    cand_val = math.inf
                 if cand_val <= value - 1e-4 * step * tnorm * tnorm:
                     p, value = cand, cand_val
                     step = min(step * 1.3, 1e8)
-                    moved = True
                     break
                 step *= 0.5
+            else:
+                break  # stalled: budget unless pinched
             if status == "diverged":
                 break
-            if not moved:
-                # stalled line search: accept if gradient is already tiny
-                t, tnorm = _tangent_grad_norm(words, p)
-                if min(p) <= 2.0 + PINCH_TOL:
-                    status = "diverged"
-                else:
-                    status = "converged" if tnorm < GRAD_TOL else "budget"
-                break
-        if status == "converged":
-            # both ways to "converged" leave tnorm measured at this p
-            res = MinimizeResult("converged", FrickePoint(*p), value, tnorm, total_iters)
-            if best is None or res.value < best.value:
-                best = res
-        elif status == "diverged":
-            saw_diverged = True
+        else:
+            continue  # the cap: budget
+        if status != "diverged" and min(p) <= 2.0 + PINCH_TOL:
+            # a pinching class flattens out before the box is reached:
+            # gradient and cusp distance both decay like 1/coord^2
+            status = "diverged"
+        if status == "converged" and (best is None or value < best.value):
+            best = MinimizeResult(status, FrickePoint(*p), value, tnorm, total_iters)
+        saw_diverged = saw_diverged or status == "diverged"
     if best is not None:
         return best
-    if saw_diverged:
-        return MinimizeResult("diverged", None, None, None, total_iters)
-    return MinimizeResult("budget", None, None, None, total_iters)
+    status = "diverged" if saw_diverged else "budget"
+    return MinimizeResult(status, None, None, None, total_iters)
 
 
-def minimize_length(gamma: Word | CyclicWord, seeds=None, max_iter=20000) -> MinimizeResult:
+def minimize_length(gamma: Word | CyclicWord) -> MinimizeResult:
     """Length-minimizing point of a single curve, or divergence for
     non-filling classes (their infimum is reached by pinching)."""
-    return minimize_curve_system([gamma], seeds=seeds, max_iter=max_iter)
+    return minimize_curve_system([gamma])
 
 
 @functools.lru_cache(maxsize=None)

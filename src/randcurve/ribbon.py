@@ -148,14 +148,13 @@ class RibbonGraph:
     """Immutable fatgraph with labeled edges.
 
     ``label[d]`` is the signed generator letter the dart spells when
-    traversed outward; the paired dart carries the negated label.  Cover
-    darts remember the base dart they project to.
+    traversed outward; the paired dart carries the negated label.
     """
 
-    __slots__ = ("nxt", "pair", "label", "rank", "base_dart", "vertex_of",
-                 "vertices", "_pos_in_vertex", "_dart_of_letter")
+    __slots__ = ("nxt", "pair", "label", "rank", "vertex_of", "vertices",
+                 "_pos_in_vertex", "_dart_of_letter")
 
-    def __init__(self, nxt, pair, label, rank, base_dart=None):
+    def __init__(self, nxt, pair, label, rank):
         nxt = tuple(nxt)
         pair = tuple(pair)
         label = tuple(label)
@@ -175,7 +174,6 @@ class RibbonGraph:
         self.pair = pair
         self.label = label
         self.rank = rank
-        self.base_dart = tuple(base_dart) if base_dart is not None else None
 
         vertices = tuple(tuple(c) for c in perm_cycles(nxt))
         vertex_of = [0] * n
@@ -351,8 +349,7 @@ def signature(g: RibbonGraph) -> SurfaceSignature:
 def cover(g: RibbonGraph, phi: PermRep) -> RibbonGraph:
     """Degree-d cover: dart (d, sheet) with pairing twisted by ``phi``.
 
-    Cover dart ids are ``base_dart * degree + sheet``; the ``base_dart``
-    table records the projection.
+    Cover dart ids are ``b * degree + sheet`` for base dart ``b``.
     """
     if phi.rank < g.rank:
         raise RibbonError("permutation rep must cover every generator")
@@ -361,7 +358,6 @@ def cover(g: RibbonGraph, phi: PermRep) -> RibbonGraph:
     nxt = [0] * (n * d)
     pair = [0] * (n * d)
     label = [0] * (n * d)
-    base = [0] * (n * d)
     for b in range(n):
         pb = g.pair[b]
         nb = g.nxt[b]
@@ -372,8 +368,7 @@ def cover(g: RibbonGraph, phi: PermRep) -> RibbonGraph:
             nxt[i] = nb * d + s
             pair[i] = pb * d + p[s]
             label[i] = lb
-            base[i] = b
-    return RibbonGraph(nxt, pair, label, g.rank, base_dart=base)
+    return RibbonGraph(nxt, pair, label, g.rank)
 
 
 @dataclass(frozen=True)

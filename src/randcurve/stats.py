@@ -63,6 +63,7 @@ class WalkDistribution:
 
     @classmethod
     def uniform(cls, rank: int) -> "WalkDistribution":
+        _validate_letters((), rank)
         return cls(rank, (1.0 / (2 * rank),) * (2 * rank))
 
     @property
@@ -353,7 +354,7 @@ def _measure_one(payload):
     elif family == "spiral":
         value = _max_spiraling(gamma, config.rank, g)
     else:
-        from .fricke import (ParabolicWordError, distance_proxy,
+        from .fricke import (GRAD_TOL, ParabolicWordError, distance_proxy,
                              minimize_length, rose_minimizer)
 
         try:
@@ -363,7 +364,7 @@ def _measure_one(payload):
             return n, "parabolic", None, len(gamma)
         outcome = res.status
         if outcome == "converged":
-            if not res.grad_norm < 1e-6:
+            if not res.grad_norm < GRAD_TOL:
                 raise AssertionError("converged minimizer has gradient "
                                      f"norm {res.grad_norm}")
             value = distance_proxy(res.point, rose_minimizer())

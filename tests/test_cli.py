@@ -75,9 +75,11 @@ def test_walk_and_ball():
     assert code == 0 and len(out.strip()) <= 5
 
 
-def test_walk_rank_out_of_range(capsys):
-    assert main(["walk", "--rank", "27", "--n", "5"]) == 1
-    assert capsys.readouterr().err == "error: rank must be in 1..26, got 27\n"
+@pytest.mark.parametrize("cmd,rank", [("walk", 27), ("walk", 0), ("walk", -2),
+                                      ("drift", 0)])
+def test_walk_rank_out_of_range(capsys, cmd, rank):
+    assert main([cmd, "--rank", str(rank), "--n", "5"]) == 1
+    assert capsys.readouterr().err == f"error: rank must be in 1..26, got {rank}\n"
 
 
 def test_minimize_diverged_and_csv():

@@ -87,7 +87,7 @@ def test_simple_lifting_degree_values(word, deg):
     res = simple_lifting_degree(C(word), PT, d_max=6)
     assert res.degree == deg
     assert res.witness is not None and res.witness.is_transitive
-    assert res.elevation_index is not None
+    assert res.elevation_index == 0
 
 
 def test_degree_search_matches_exhaustive():

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from randcurve import fricke
 from randcurve.fricke import (FrickeError, FrickePoint, ParabolicWordError,
                               collar_width, distance_proxy, geodesic_length,
                               holonomy, markov_residual, minimize_curve_system,
@@ -111,6 +112,21 @@ def test_minimize_random_word_converges():
     assert res.grad_norm < 1e-6
     assert abs(markov_residual(*res.point.triple())) < 1e-9
     assert min(res.point.triple()) > 2
+
+
+def test_minimize_stalled_line_search_is_budget(monkeypatch):
+    # with no projection every candidate is rejected; the raw steps of
+    # "aab" from both seeds stay inside the box, so each seed stalls after
+    # its first line search, away from the cusp shell
+    calls = []
+    grad = fricke._tangent_grad_norm
+    monkeypatch.setattr(fricke, "_project_markov", lambda p: None)
+    monkeypatch.setattr(fricke, "_tangent_grad_norm",
+                        lambda words, p: calls.append(p) or grad(words, p))
+    res = minimize_length(C("aab"))
+    assert res.status == "budget" and res.point is None
+    assert res.iterations == 2
+    assert len(calls) == res.iterations
 
 
 def test_symmetric_system_minimizer():
