@@ -54,6 +54,8 @@ class EdgePath:
         object.__setattr__(self, "darts", tuple(self.darts))
         g = self.graph
         n = len(self.darts)
+        if n == 0:
+            raise IntersectionError("trivial path has no darts")
         for i, d in enumerate(self.darts):
             if not 0 <= d < g.dart_count:
                 raise IntersectionError(f"dart {d} not in graph")
@@ -65,10 +67,7 @@ class EdgePath:
 
     @classmethod
     def from_word(cls, w: Word | CyclicWord, g: RibbonGraph) -> "EdgePath":
-        c = cyclic_reduce(w)
-        if len(c) == 0:
-            raise IntersectionError("trivial word carries no closed path")
-        return cls(g, tuple(g.dart_for_letter(x) for x in c.letters))
+        return cls(g, tuple(g.dart_for_letter(x) for x in cyclic_reduce(w).letters))
 
     def __len__(self) -> int:
         return len(self.darts)
@@ -76,10 +75,10 @@ class EdgePath:
     def primitive_root(self) -> tuple["EdgePath", int]:
         d = self.darts
         n = len(d)
-        for p in range(1, n + 1):
+        for p in range(1, n):
             if n % p == 0 and d == d[:p] * (n // p):
                 return EdgePath(self.graph, d[:p]), n // p
-        raise AssertionError("unreachable")
+        return self, 1
 
     def inverse(self) -> "EdgePath":
         g = self.graph
@@ -307,8 +306,6 @@ def self_intersection(p: EdgePath) -> int:
     power w^k is the k-strand cable, k^2 crossings per base crossing plus
     k-1 for closing the cable.
     """
-    if len(p) == 0:
-        raise IntersectionError("trivial path has no self-intersection number")
     root, k = p.primitive_root()
     n = len(root)
     ordered = _ordered_crossings(root.graph, [root.darts], range(n), (1 << n) - 1)
@@ -336,8 +333,6 @@ def check_invariance(p: EdgePath, i: int, shift: int) -> None:
 
 def intersection(p: EdgePath, q: EdgePath) -> int:
     """Geometric intersection number of two distinct unoriented classes."""
-    if len(p) == 0 or len(q) == 0:
-        raise IntersectionError("trivial path")
     if p.graph is not q.graph and p.graph.label != q.graph.label:
         raise IntersectionError("paths live on different graphs")
     if p.class_key() == q.class_key():
@@ -424,8 +419,6 @@ def brute_min_crossings(paths, g: RibbonGraph | None = None, budget: int = 8) ->
         g = paths[0].graph
     traversals = {}
     for pi, path in enumerate(paths):
-        if len(path) == 0:
-            raise IntersectionError("trivial path")
         for t, d in enumerate(path.darts):
             e = min(d, g.pair[d])
             traversals.setdefault(e, []).append((pi, t))

@@ -8,9 +8,8 @@ Conjugacy classes are ``CyclicWord``s in least-rotation form.
 ``cyclic_classes`` lists every class up to a given length with the
 Fredricksen-Kessler-Maiorana necklace recursion, cut at any prefix holding a
 cancelling pair ``x, -x``, so only canonical representatives are ever built.
-``conjugates_in_ball`` counts a class's elements in a Cayley-graph ball by an
-exhaustive breadth-first search over single-letter conjugations; each step
-reads the reduced conjugate off the two ends of the current element.
+``conjugates_in_ball`` counts a class's elements in a Cayley-graph ball in
+closed form, from the class's primitive root and the rank.
 """
 
 from __future__ import annotations
@@ -356,39 +355,16 @@ def satisfies_no_cancellation(w: Word, c: CyclicWord) -> bool:
 
 
 def conjugates_in_ball(c: CyclicWord, n: int) -> int:
-    """Exact size of [c] intersected with the ball of radius ``n``.
+    """Exact size of [c] intersected with the ball of radius ``n``:
+    R * (2r - 1)^((n - |c|) // 2) for n >= |c|, and 0 below, where R is the
+    length of the primitive root of ``c`` (its number of distinct rotations).
 
-    Breadth-first enumeration of group elements: the frontier starts at the
-    cyclically reduced representatives (all rotations) and expands by
-    single-generator conjugation, pruning anything longer than ``n``.  Every
-    conjugate of length <= n is reached through intermediates of
-    non-decreasing length, so the pruning is lossless.  Conjugating a
-    reduced element by ``g`` can only cancel at its two ends, so the reduced
-    conjugate is read off from those ends without a reduction pass.
+    Every conjugate has a unique reduced normal form u p u^-1 with p a
+    rotation of ``c`` and u's last letter avoiding the two letters that
+    would cancel against p; summing over |u| <= (n - |c|) / 2 telescopes.
     """
     if len(c) == 0:
         raise WordError("conjugates_in_ball needs a nontrivial class")
     if n < len(c):
         return 0
-    letters = alphabet_letters(c.rank)
-    seen = {rot for rot in (tuple(r) for r in c.rotations())}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for el in frontier:
-            first, last = el[0], el[-1]
-            grow = len(el) + 2 <= n
-            for g in letters:
-                if first == -g:
-                    cand = el[1:-1] if last == g else el[1:] + (-g,)
-                elif last == g:
-                    cand = (g,) + el[:-1]
-                elif grow:
-                    cand = (g,) + el + (-g,)
-                else:
-                    continue
-                if cand not in seen:
-                    seen.add(cand)
-                    nxt.append(cand)
-        frontier = nxt
-    return len(seen)
+    return len(c.primitive_root()[0]) * (2 * c.rank - 1) ** ((n - len(c)) // 2)

@@ -58,9 +58,14 @@ def test_edge_path_validation():
 
 def test_trivial_path_errors():
     with pytest.raises(IntersectionError):
-        self_intersection(EdgePath(PT, ()))
+        EdgePath(PT, ())
     with pytest.raises(IntersectionError):
         EdgePath.from_word(Word.from_string("aA", 2), PT)
+    p = P("aab")
+    root, k = p.primitive_root()
+    assert root is p and k == 1
+    root, k = P("abab").primitive_root()
+    assert root == P("ab") and k == 2
 
 
 def test_power_formula_against_oracle():

@@ -204,36 +204,57 @@ def test_no_cancellation_length_formula_exhaustive():
                     assert len(reduce(full)) == 2 * L + len(c)
 
 
-def _conjugates_formula(c: CyclicWord, n: int) -> int:
-    """Independent count: every conjugate has a unique normal form u p u^-1
-    with p a rotation and the last letter of u avoiding cancellation."""
-    L = len(c)
-    if n < L:
+def _conjugates_by_search(c: CyclicWord, n: int) -> int:
+    """Oracle: the reduced words of length <= n conjugate to ``c``, enumerated
+    one by one.  A breadth-first search starts at the rotations of ``c`` and
+    conjugates by single letters, pruning anything longer than ``n``; every
+    conjugate of length <= n is reached through conjugates no longer than
+    itself, so the pruning is lossless.  Conjugating a reduced word by ``g``
+    cancels only at its two ends, so the reduced conjugate is read off them."""
+    if n < len(c):
         return 0
-    r = c.rank
-    total = 0
-    for rot in set(c.rotations()):
-        bad = {-rot[0], rot[-1]}
-        for m in range((n - L) // 2 + 1):
-            if m == 0:
-                total += 1
-            else:
-                total += (2 * r - len(bad)) * (2 * r - 1) ** (m - 1)
-    return total
+    letters = alphabet_letters(c.rank)
+    seen = set(c.rotations())
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for el in frontier:
+            first, last = el[0], el[-1]
+            grow = len(el) + 2 <= n
+            for g in letters:
+                if first == -g:
+                    cand = el[1:-1] if last == g else el[1:] + (-g,)
+                elif last == g:
+                    cand = (g,) + el[:-1]
+                elif grow:
+                    cand = (g,) + el + (-g,)
+                else:
+                    continue
+                if cand not in seen:
+                    seen.add(cand)
+                    nxt.append(cand)
+        frontier = nxt
+    return len(seen)
 
 
 def test_conjugates_in_ball_examples():
     assert conjugates_in_ball(C("a"), 3) == 3
     assert conjugates_in_ball(C("a"), 0) == 0
+    assert conjugates_in_ball(C("abab"), 6) == 6  # proper power: root ab
+    assert conjugates_in_ball(C("aa", 1), 9) == 1  # rank 1: [c] = {c}
+    assert conjugates_in_ball(C("aabAB"), 4) == 0  # n below |c|
     with pytest.raises(WordError):
         conjugates_in_ball(cyclic_reduce(W("")), 3)
 
 
 def test_conjugates_in_ball_vs_formula():
-    for rank, max_len, n_max in ((2, 6, 12), (3, 3, 7)):
+    pairs = 0
+    for rank, max_len, n_max in ((1, 6, 12), (2, 7, 13), (3, 4, 9), (4, 3, 8)):
         for c in all_cyclic_classes(max_len, rank):
             for n in range(0, n_max + 1):
-                assert conjugates_in_ball(c, n) == _conjugates_formula(c, n)
+                assert conjugates_in_ball(c, n) == _conjugates_by_search(c, n), (c, n)
+                pairs += 1
+    assert pairs == 11676
 
 
 def test_conjugates_in_ball_lemma_bound_small():
