@@ -222,9 +222,10 @@ def _dispatch(args) -> int:
         from .verify import run_all
 
         ok = True
-        for name, passed, detail in run_all(fast=args.fast):
+        for name, passed, detail, seconds in run_all(fast=args.fast):
             status = "PASS" if passed else "FAIL"
             print(f"{status} {name}: {detail}")
+            print(f"time {name}: {seconds:.2f} s", file=sys.stderr)
             ok = ok and passed
         return 0 if ok else 1
     raise AssertionError(f"unhandled command {cmd}")

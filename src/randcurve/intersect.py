@@ -18,6 +18,11 @@ darts along the axis of a simple core, whose root has c darts, and leaves
 the axis on one side at both ends crosses s // c of its core translates,
 or one fewer when c divides s and, at the vertex where the last translate's
 backward end and its own forward end leave the axis, its own comes first.
+The core is checked for simplicity once per (core, graph).  The runs are
+found by a compiled regular expression over the darts as characters, one
+per core orientation and phase: the next run start whose run holds more
+roots than the best score so far, so only runs that can raise the score
+are extended and scored in Python.
 
 Oracles kept for the tests: ``primitive_self_count`` compares rays pairwise
 and weights each linked pair by 1/overlap, and ``brute_min_crossings``
@@ -28,11 +33,14 @@ translate-counting oracle for ``spiraling``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 
-from .ribbon import RibbonGraph
-from .words import CyclicWord, Word, WordError, cyclic_reduce, least_rotation
+from .ribbon import RibbonError, RibbonGraph
+from .words import (CyclicWord, Word, WordError, _proper_divisors, cyclic_reduce,
+                    least_rotation)
 
 
 class IntersectionError(ValueError):
@@ -75,8 +83,8 @@ class EdgePath:
     def primitive_root(self) -> tuple["EdgePath", int]:
         d = self.darts
         n = len(d)
-        for p in range(1, n):
-            if n % p == 0 and d == d[:p] * (n // p):
+        for p in _proper_divisors(n):
+            if d == d[:p] * (n // p):
                 return EdgePath(self.graph, d[:p]), n // p
         return self, 1
 
@@ -449,6 +457,28 @@ def brute_min_crossings(paths, g: RibbonGraph | None = None, budget: int = 8) ->
 
 # --- spiraling -------------------------------------------------------------
 
+@lru_cache(maxsize=64)
+def _simple_core(alpha: CyclicWord, g: RibbonGraph):
+    """The darts of the primitive root of the simple core ``alpha``, and its
+    letters, each in both orientations.  Raises ``IntersectionError`` when
+    the core is not simple; an error is not cached, so it raises again on
+    every call."""
+    if self_intersection(EdgePath.from_word(alpha, g)) != 0:
+        raise IntersectionError("spiraling core must be simple")
+    root = alpha.primitive_root()[0]
+    darts = tuple(g.dart_for_letter(x) for x in root.letters)
+    return ((darts, tuple(g.pair[x] for x in reversed(darts))),
+            (root.letters, root.inverse().letters))
+
+
+@lru_cache(maxsize=1024)
+def _run_search(rot: str, before: str, k: int):
+    """Search for a run start: ``rot`` not preceded by ``before``, repeated
+    at least ``k`` times."""
+    r = re.escape(rot)
+    return re.compile(f"{r}(?<!{re.escape(before)}{r})(?:{r}){{{k - 1},}}").search
+
+
 def spiraling(gamma: CyclicWord, alpha: CyclicWord, g: RibbonGraph) -> int:
     """Maximal self-crossing count of a lift of ``gamma`` to the annular
     cover around ``alpha`` whose two ends escape through a common end.
@@ -462,35 +492,40 @@ def spiraling(gamma: CyclicWord, alpha: CyclicWord, g: RibbonGraph) -> int:
     """
     if len(alpha) == 0 or len(gamma) == 0:
         raise WordError("spiraling needs nontrivial curves")
-    if self_intersection(EdgePath.from_word(alpha, g)) != 0:
-        raise IntersectionError("spiraling core must be simple")
-    pair = g.pair
-    d = tuple(g.dart_for_letter(x) for x in gamma.letters)
-    root = tuple(g.dart_for_letter(x) for x in alpha.primitive_root()[0].letters)
-    L, c = len(d), len(root)
-    cores = (root, tuple(pair[x] for x in reversed(root)))
-    if L % c == 0 and any(d == (core[r:] + core[:r]) * (L // c)
-                          for core in cores for r in range(c)):
+    cores, roots = _simple_core(alpha, g)
+    dart_of_letter = g._dart_of_letter
+    try:
+        d = [dart_of_letter[x] for x in gamma.letters]
+    except KeyError as exc:
+        raise RibbonError(f"no dart labeled {exc.args[0]}") from None
+    if gamma.primitive_root()[0].letters in roots:
         raise IntersectionError("curve is a power of a conjugate of the core")
+    pair = g.pair
+    L, c = len(d), len(cores[0])
+    # text[i + 1] is d[i % L]; a maximal run is shorter than L + c - 1
+    # (Fine-Wilf), so every run starting at 0..L-1 fits in the text
+    darts = "".join(map(chr, d))
+    text = darts[-1] + (darts * (c + 2))[:2 * L + c]
     best = 0
     for core in cores:
-        for p in range(L):
-            for r in range(c):
-                if d[p] != core[r] or d[p - 1] == core[r - 1]:
-                    continue  # not the start of a run at phase r
-                s = 1
+        for r in range(c):
+            rot = "".join(map(chr, core[r:] + core[:r]))
+            start = 1
+            while m := _run_search(rot, chr(core[r - 1]), best + 1)(text, start):
+                if m.start() > L:
+                    break
+                p = m.start() - 1
+                s = m.end() - m.start()
                 while d[(p + s) % L] == core[(r + s) % c]:
                     s += 1
-                if s // c <= best:
-                    continue
                 q = (p + s) % L
                 side = g.cyc_orient(d[p], pair[d[p - 1]], pair[core[r - 1]])
-                if side != g.cyc_orient(core[(r + s) % c], d[q], pair[d[q - 1]]):
-                    continue
-                # side +1 lies clockwise of the incoming axis dart, so the
-                # translate's end comes first when the order there is -side
-                best = s // c - (s % c == 0 and
-                                 _end_order(g, d, p, q) != -side)
+                if side == g.cyc_orient(core[(r + s) % c], d[q], pair[d[q - 1]]):
+                    # side +1 lies clockwise of the incoming axis dart, so the
+                    # translate's end comes first when the order there is -side
+                    best = s // c - (s % c == 0 and
+                                     _end_order(g, d, p, q) != -side)
+                start = m.start() + 1
     return best
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import bisect
 import functools
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -71,18 +72,32 @@ class WalkDistribution:
         return all(abs(p - self.probs[0]) < 1e-15 for p in self.probs)
 
 
+@functools.lru_cache(maxsize=None)
+def _reduced_steps(rank: int):
+    """The letters of ``rank`` and, for each, the 2r-1 letters that may
+    follow it in a reduced word."""
+    letters = alphabet_letters(rank)
+    return letters, {x: tuple(y for y in letters if y != -x) for x in letters}
+
+
 def uniform_reduced_word(rng: random.Random, rank: int, length: int) -> Word:
     """Uniform reduced word of the given length: a uniform first letter, then
     at each step a uniform letter among the 2r-1 that do not cancel."""
     _validate_letters((), rank)
     if length == 0:
         return Word((), rank)
-    letters = alphabet_letters(rank)
-    after = {x: [y for y in letters if y != -x] for x in letters}
+    letters, after = _reduced_steps(rank)
     word = [letters[rng.randrange(2 * rank)]]
     for _ in range(length - 1):
         word.append(after[word[-1]][rng.randrange(2 * rank - 1)])
     return _unchecked(Word, tuple(word), rank)
+
+
+@functools.lru_cache(maxsize=64)
+def _sphere_cumulative(rank: int, n: int) -> tuple[int, ...]:
+    """|B_k| for k = 0..n: the running sums of the sphere sizes."""
+    return tuple(itertools.accumulate(sphere_size(BallSpec(rank, k))
+                                      for k in range(n + 1)))
 
 
 def sample_word(rng: random.Random, sampler: str, rank: int, probs, n: int) -> Word:
@@ -97,12 +112,8 @@ def sample_word(rng: random.Random, sampler: str, rank: int, probs, n: int) -> W
         _validate_letters((), rank)
         return _unchecked(Word, tuple(rng.choices(alphabet_letters(rank),
                                                   weights=probs, k=n)), rank)
-    cum = []
-    total = 0
-    for k in range(n + 1):
-        total += sphere_size(BallSpec(rank, k))
-        cum.append(total)
-    k = bisect.bisect_right(cum, rng.randrange(total))
+    cum = _sphere_cumulative(rank, n)
+    k = bisect.bisect_right(cum, rng.randrange(cum[-1] if cum else 0))
     return uniform_reduced_word(rng, rank, k)
 
 

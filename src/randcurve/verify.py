@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import time
 
 from .covers import (check_degree_bounds, hall_count, hook_degree,
                      mednykh_count, partitions, simple_lifting_degree,
@@ -301,13 +302,15 @@ SUITES = (
 
 
 def run_all(fast=True):
+    """``(name, passed, detail, seconds)`` for each suite, in order."""
     results = []
     for name, fn in SUITES:
+        t0 = time.perf_counter()
         try:
             ok, detail = fn(fast=fast)
         except AssertionError as exc:  # a check_* function found a violation
             ok, detail = False, str(exc)
         except Exception as exc:  # a crashed suite is a failure, not an abort
             ok, detail = False, f"exception: {exc!r}"
-        results.append((name, ok, detail))
+        results.append((name, ok, detail, time.perf_counter() - t0))
     return results

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import isqrt
 
 MAX_RANK = 26
 
@@ -71,27 +72,34 @@ def reduce_letters(letters) -> tuple[int, ...]:
 
 
 def least_rotation(seq: tuple) -> int:
-    """Index of the lexicographically least rotation (Booth's algorithm)."""
+    """Least index of the lexicographically least rotation.
+
+    Two-pointer minimum expression: candidates i and j agree on k items;
+    at the first difference the larger one cannot start a least rotation,
+    nor can the k positions after it, so it jumps past them.  Linear time.
+    """
     n = len(seq)
-    if n <= 1:
-        return 0
     s = seq + seq
-    f = [-1] * (2 * n)
-    k = 0
-    for j in range(1, 2 * n):
-        sj = s[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != s[k + i + 1]:
-            if sj < s[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != s[k + i + 1]:
-            if sj < s[k]:
-                k = j
-            f[j - k] = -1
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a, b = s[i + k], s[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
         else:
-            f[j - k] = i + 1
-    return k
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    return min(i, j)
+
+
+def _proper_divisors(n: int) -> tuple[int, ...]:
+    """The divisors of ``n`` below ``n``, ascending."""
+    small = [p for p in range(1, isqrt(n) + 1) if n % p == 0]
+    return tuple(small + [n // p for p in reversed(small) if p * p != n])[:-1]
 
 
 @dataclass(frozen=True)
@@ -196,8 +204,8 @@ class CyclicWord:
         n = len(w)
         if n == 0:
             raise WordError("trivial cyclic word has no primitive root")
-        for p in range(1, n):
-            if n % p == 0 and w == w[:p] * (n // p):
+        for p in _proper_divisors(n):
+            if w == w[:p] * (n // p):
                 # a period of a least rotation is itself a least rotation
                 return _unchecked(CyclicWord, w[:p], self.rank), n // p
         return self, 1
@@ -206,7 +214,8 @@ class CyclicWord:
 def _unchecked(cls, letters: tuple[int, ...], rank: int):
     """The ``Word`` or ``CyclicWord`` of ``letters`` that the caller drew from
     the alphabet of a checked ``rank`` or put in canonical form, without the
-    checks of ``__post_init__`` (a letter scan and, for a class, Booth)."""
+    checks of ``__post_init__`` (a letter scan and, for a class, the
+    least-rotation test)."""
     w = object.__new__(cls)
     object.__setattr__(w, "letters", letters)
     object.__setattr__(w, "rank", rank)

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 from contextlib import redirect_stdout
 
 import pytest
@@ -194,7 +195,13 @@ VERIFY_LINES = [
 ]
 
 
-def test_verify_fast():
+def test_verify_fast(capsys):
     code, out = run_cli("verify", "--fast")
     assert code == 0
     assert out.splitlines() == VERIFY_LINES
+    # each suite's time goes to stderr, so stdout stays byte for byte
+    err = capsys.readouterr().err.splitlines()
+    names = [line.split()[1].rstrip(":") for line in VERIFY_LINES]
+    assert len(err) == len(names)
+    for line, name in zip(err, names):
+        assert re.fullmatch(rf"time {name}: \d+\.\d\d s", line), line

@@ -7,8 +7,8 @@ from randcurve.intersect import (BudgetExceeded, EdgePath, IntersectionError,
                                  _backward_ray, _divergence, _forward_ray,
                                  _linked, brute_min_crossings, check_invariance,
                                  intersection, self_intersection, spiraling)
-from randcurve.ribbon import (PermRep, genus2_boundary1, pair_of_pants,
-                              punctured_torus)
+from randcurve.ribbon import (PermRep, RibbonError, genus2_boundary1,
+                              pair_of_pants, punctured_torus)
 from randcurve.stats import uniform_reduced_word
 from randcurve.words import CyclicWord, Word, alphabet_letters, cyclic_classes, \
     cyclic_reduce, least_rotation
@@ -194,6 +194,16 @@ def test_spiraling_preconditions():
         spiraling(C("b"), C("aa"), PT)  # core not simple? aa is non-simple
     with pytest.raises(IntersectionError):
         spiraling(C("baaaBbaB"), C("a"), PT)  # reduces to a power of a
+    with pytest.raises(RibbonError):
+        spiraling(CyclicWord.from_string("abc", 3), C("a"), PT)  # no dart c
+
+
+def test_spiraling_non_simple_core_raises_on_every_call():
+    # the core check is cached per (core, graph); a failed check is not
+    assert self_intersection(P("aabb")) == 1
+    for _ in range(3):
+        with pytest.raises(IntersectionError, match="simple"):
+            spiraling(C("ab"), C("aabb"), PT)
 
 
 def test_spiraling_longer_core():
@@ -279,6 +289,21 @@ def spiraling_by_translates(gamma, alpha, g):
     return best
 
 
+def _planted_runs(rng, core, k_max=12):
+    """Classes holding a run core^k or core^-k for each k = 1..k_max, and a
+    second shorter run, joined by short random words."""
+    out = []
+    for k in range(1, k_max + 1):
+        runs = [core.letters * k, core.letters * rng.randrange(k + 1)]
+        if rng.random() < 0.5:
+            runs[0] = core.inverse().letters * k
+        w = cyclic_reduce(Word(uniform_reduced_word(rng, 2, 3).letters + runs[0] +
+                               uniform_reduced_word(rng, 2, 2).letters + runs[1], 2))
+        if len(w):
+            out.append(w)
+    return out
+
+
 def test_spiraling_matches_translate_oracle():
     cases = [(c, C(core), g)
              for g, cores in ((PT, ("a", "b", "A", "ab", "aB")),
@@ -294,6 +319,14 @@ def test_spiraling_matches_translate_oracle():
         if len(c) >= 30:
             long_words.append(c)
     cases += [(c, C(core), PT) for core in ("a", "ab") for c in long_words]
+    # simple cores that overlap their own rotations
+    cases += [(c, C(core), PT) for core in ("aab", "aaB", "abb", "aabab")
+              for c in cyclic_classes(5, 2)]
+    cases += [(c, C(core), PT) for core in ("a", "b", "ab", "aab", "aaB", "abb",
+                                            "aabab")
+              for c in _planted_runs(rng, C(core))]
+    # a run that starts inside the last root of an earlier run at its phase
+    cases += [(C(s), C("aab"), PT) for s in ("Bababaaba", "BAbababaa", "BBAbababa")]
     for gamma, alpha, g in cases:
         root = alpha.primitive_root()[0]
         if gamma.primitive_root()[0] in (root, root.inverse()):

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from randcurve.intersect import EdgePath
+from randcurve.ribbon import punctured_torus
 from randcurve.words import (Alphabet, BallSpec, CyclicWord, Word, WordError,
                              alphabet_letters, ball_size, are_conjugate,
                              conjugates_in_ball, cyclic_classes, cyclic_reduce,
@@ -30,6 +32,40 @@ def all_cyclic_classes(max_len, rank=2):
             if canon not in seen:
                 seen.add(canon)
                 yield CyclicWord(canon, rank)
+
+
+def _booth_least_rotation(seq):
+    """Oracle for ``least_rotation``: Booth's failure-function algorithm."""
+    n = len(seq)
+    if n <= 1:
+        return 0
+    s = seq + seq
+    f = [-1] * (2 * n)
+    k = 0
+    for j in range(1, 2 * n):
+        sj = s[j]
+        i = f[j - k - 1]
+        while i != -1 and sj != s[k + i + 1]:
+            if sj < s[k + i + 1]:
+                k = j - i - 1
+            i = f[i]
+        if sj != s[k + i + 1]:
+            if sj < s[k]:
+                k = j
+            f[j - k] = -1
+        else:
+            f[j - k] = i + 1
+    return k
+
+
+def _period_scan_root(w):
+    """Oracle for ``primitive_root``: the shortest p < n, tried in turn,
+    with w = w[:p]^(n/p)."""
+    n = len(w)
+    for p in range(1, n):
+        if n % p == 0 and w == w[:p] * (n // p):
+            return w[:p], n // p
+    return w, 1
 
 
 def random_reduced(rng, length, rank=2):
@@ -106,8 +142,8 @@ def test_cyclic_word_validation():
 
 
 def test_public_constructor_still_rejects_rotations_that_are_not_least():
-    # the library builds canonical words without re-running Booth's
-    # algorithm; the public constructor keeps the check
+    # the library builds canonical words without re-running the
+    # least-rotation test; the public constructor keeps it
     for c in cyclic_classes(5):
         w = c.letters
         for i in range(1, len(w)):
@@ -137,6 +173,39 @@ def test_primitive_root_returns_primitive_word_itself():
         root, power = C(s).primitive_root()
         assert str(root) == root_s and power == k
         assert root.letters * power == C(s).letters
+
+
+def test_least_rotation_matches_booth():
+    # every rotation of every rank-2 class up to length 8 and of its square
+    # and cube (proper powers, where the least index is the one asked for)
+    for c in cyclic_classes(8, 2):
+        for w in (c.letters, c.letters * 2, c.letters * 3):
+            for i in range(len(w)):
+                rot = w[i:] + w[:i]
+                assert least_rotation(rot) == _booth_least_rotation(rot), rot
+    rng = random.Random(4)
+    for _ in range(3000):
+        base = tuple(rng.randrange(rng.randrange(1, 4))
+                     for _ in range(rng.randrange(13)))
+        seq = base * rng.randrange(1, 4)
+        assert least_rotation(seq) == _booth_least_rotation(seq), seq
+    assert least_rotation(()) == 0 and least_rotation((5,)) == 0
+
+
+def test_primitive_root_matches_period_scan():
+    rng = random.Random(6)
+    pt = punctured_torus()
+    for _ in range(150):
+        root = cyclic_reduce(Word(random_reduced(rng, rng.randrange(1, 60)), 2))
+        if len(root) == 0:
+            continue
+        k = rng.randrange(1, 600 // len(root) + 1)
+        c = CyclicWord(root.letters * k, 2)
+        got, power = c.primitive_root()
+        assert (got.letters, power) == _period_scan_root(c.letters), c
+        path = EdgePath.from_word(c, pt)
+        got, power = path.primitive_root()
+        assert (got.darts, power) == _period_scan_root(path.darts), c
 
 
 @pytest.mark.parametrize("max_len, rank", [(8, 2), (5, 3), (6, 1)])
