@@ -131,15 +131,23 @@ def mednykh_count(g: int, d: int) -> int:
 
 # --- enumeration ------------------------------------------------------------
 
+MAX_REP_TUPLES = 10 ** 6  # (d!)^rank tuples transitive_reps may scan
+
+
 def transitive_reps(rank: int, d: int, closed_genus: int | None = None):
     """Yield every transitive PermRep of the given degree.
 
     Free mode enumerates all rank-tuples of permutations with transitive
     joint action; closed mode (rank = 2*genus) additionally requires the
-    product of commutators to act trivially.
+    product of commutators to act trivially.  Raises ``CoverSearchError``
+    before the first tuple when the (d!)^rank tuples exceed
+    ``MAX_REP_TUPLES``.
     """
     if d < 1:
         raise ValueError("degree must be positive")
+    if factorial(d) ** rank > MAX_REP_TUPLES:
+        raise CoverSearchError(
+            f"{factorial(d) ** rank} tuples, budget {MAX_REP_TUPLES}")
     perms = list(permutations(range(d)))
     for tup in product(perms, repeat=rank):
         if perm_orbit_count(d, tup) != 1:

@@ -27,7 +27,10 @@ are extended and scored in Python.
 Oracles kept for the tests: ``primitive_self_count`` compares rays pairwise
 and weights each linked pair by 1/overlap, and ``brute_min_crossings``
 minimizes chord crossings over every band-consistent strand ordering of the
-same diagram.  The ray helpers serve only these oracles and the tests'
+same diagram.  It fixes each chord end once as (zone position, sign,
+traversal), so an ordering only changes the traversals' heights, and it
+refuses diagrams with more than ``MAX_ORDERINGS`` orderings in total before
+trying any.  The ray helpers serve only these oracles and the tests'
 translate-counting oracle for ``spiraling``.
 """
 
@@ -36,7 +39,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
+from math import factorial, prod
 
 from .ribbon import RibbonError, RibbonGraph
 from .words import (CyclicWord, Word, WordError, _proper_divisors, cyclic_reduce,
@@ -356,102 +360,70 @@ def intersection(p: EdgePath, q: EdgePath) -> int:
 
 # --- band-diagram oracle ---------------------------------------------------
 
-def _chord_positions(paths, g, heights):
-    """Circle positions of all chord endpoints, one circle per vertex.
-
-    ``heights[(edge, traversal)]`` totally orders the traversals of each
-    edge; on the zone of the smaller dart the endpoints appear in ascending
-    height, on the paired zone in descending height (the flip that makes the
-    band gluing orientable).
-    """
-    zone_entries = {d: [] for d in range(g.dart_count)}
-    for pi, path in enumerate(paths):
-        d = path.darts
-        n = len(d)
-        for t in range(n):
-            out_dart = d[t]
-            prev = d[(t - 1) % n]
-            in_dart = g.pair[prev]
-            e_out = min(out_dart, g.pair[out_dart])
-            e_in = min(prev, g.pair[prev])
-            zone_entries[out_dart].append((heights[(e_out, (pi, t))], (pi, t, 0)))
-            zone_entries[in_dart].append((heights[(e_in, (pi, (t - 1) % n))], (pi, t, 1)))
-    endpoint_pos = {}
-    for vi, cyc in enumerate(g.vertices):
-        pos = 0
-        for dart in cyc:
-            entries = zone_entries[dart]
-            ascending = dart == min(dart, g.pair[dart])
-            entries.sort(key=lambda e: e[0], reverse=not ascending)
-            for _, key in entries:
-                endpoint_pos[key] = (vi, pos)
-                pos += 1
-    chords_by_vertex = {}
-    for pi, path in enumerate(paths):
-        for t in range(len(path.darts)):
-            vi, a = endpoint_pos[(pi, t, 0)]
-            vj, b = endpoint_pos[(pi, t, 1)]
-            if vi != vj:
-                raise AssertionError(f"chord {t} of path {pi} joins two vertices")
-            chords_by_vertex.setdefault(vi, []).append((min(a, b), max(a, b)))
-    return chords_by_vertex
+MAX_ORDERINGS = factorial(8)  # total strand orderings brute_min_crossings tries
 
 
-def _count_crossings(chords_by_vertex) -> int:
-    total = 0
-    for chords in chords_by_vertex.values():
-        m = len(chords)
-        for i in range(m):
-            a1, b1 = chords[i]
-            for j in range(i + 1, m):
-                a2, b2 = chords[j]
-                if a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1:
-                    total += 1
-    return total
-
-
-def brute_min_crossings(paths, g: RibbonGraph | None = None, budget: int = 8) -> int:
+def brute_min_crossings(paths) -> int:
     """Minimum total crossings over all band-consistent strand orderings.
 
     Accepts one EdgePath or a sequence; the total includes crossings between
-    different paths.  Exhausts every per-edge total order of traversals
-    (factorial in the multiplicity), so each edge may carry at most
-    ``budget`` traversals.
+    different paths.  The traversals are numbered over the paths in order,
+    and an ordering gives each a height h among the traversals of its edge.
+    Passage k joins the end of traversal k in the zone of its out-dart to
+    the end of traversal k - 1 in the zone of its in-dart.  An end in the
+    zone of dart x sits at m * (position of x at its vertex) + sign * h,
+    where m = 2 * (number of traversals) + 1 keeps the zones apart, and sign
+    is +1 when x is the smaller dart of its edge and -1 otherwise (the flip
+    that makes the band gluing orientable).  Every ordering is tried, so
+    their total number, the product over edges of (traversals)!, may not
+    exceed ``MAX_ORDERINGS``.
     """
     if isinstance(paths, EdgePath):
         paths = [paths]
     paths = list(paths)
     if not paths:
         raise IntersectionError("no paths given")
-    if g is None:
-        g = paths[0].graph
-    traversals = {}
-    for pi, path in enumerate(paths):
-        for t, d in enumerate(path.darts):
-            e = min(d, g.pair[d])
-            traversals.setdefault(e, []).append((pi, t))
-    for e, ts in traversals.items():
-        if len(ts) > budget:
-            raise BudgetExceeded(
-                f"edge {e} has {len(ts)} traversals, budget {budget}")
-    edges = sorted(traversals)
+    g = paths[0].graph
+    pair, pos, vertex_of = g.pair, g._pos_in_vertex, g.vertex_of
+    darts = [d for p in paths for d in p.darts]
+    by_edge = {}
+    for k, d in enumerate(darts):
+        by_edge.setdefault(min(d, pair[d]), []).append(k)
+    groups = list(by_edge.values())
+    total = prod(factorial(len(ks)) for ks in groups)
+    if total > MAX_ORDERINGS:
+        raise BudgetExceeded(f"{total} strand orderings, budget {MAX_ORDERINGS}")
+    m = 2 * len(darts) + 1
+
+    def end(x, k):
+        return m * pos[x], 1 if x < pair[x] else -1, k
+
+    chords = {}  # vertex -> its chords: the end at the out-dart, then at the in-dart
+    first = 0
+    for pi, p in enumerate(paths):
+        n = len(p.darts)
+        for t, d in enumerate(p.darts):
+            k = first + (t - 1) % n
+            x = pair[darts[k]]
+            if vertex_of[x] != vertex_of[d]:
+                raise AssertionError(f"chord {t} of path {pi} joins two vertices")
+            chords.setdefault(vertex_of[d], []).append(end(d, first + t) + end(x, k))
+        first += n
+    h = [0] * len(darts)
     best = None
-
-    def rec(idx, heights):
-        nonlocal best
-        if idx == len(edges):
-            cost = _count_crossings(_chord_positions(paths, g, heights))
-            if best is None or cost < best:
-                best = cost
-            return
-        e = edges[idx]
-        ts = traversals[e]
-        for order in permutations(range(len(ts))):
-            for h, tk in zip(order, ts):
-                heights[(e, tk)] = h
-            rec(idx + 1, heights)
-
-    rec(0, {})
+    for orders in product(*(permutations(range(len(ks))) for ks in groups)):
+        for ks, order in zip(groups, orders):
+            for k, o in zip(ks, order):
+                h[k] = o
+        cost = 0
+        for cs in chords.values():
+            ends = [(u + su * h[ku], v + sv * h[kv]) for u, su, ku, v, sv, kv in cs]
+            for i, (a, b) in enumerate(ends):
+                for c, e in ends[i + 1:]:
+                    # linked: exactly one end of (c, e) lies between a and b
+                    cost += ((a < c) != (b < c)) != ((a < e) != (b < e))
+        if best is None or cost < best:
+            best = cost
     return best
 
 

@@ -347,20 +347,16 @@ def letter_counts(c: CyclicWord) -> LetterCounts:
 
 
 def satisfies_no_cancellation(w: Word, c: CyclicWord) -> bool:
-    """No suffix of ``w`` is an inverted prefix of ``c``, nor a suffix of ``c``.
-
-    When this holds, ``w c w^-1`` is reduced as written, of length 2|w| + |c|.
+    """Whether ``w c w^-1`` is reduced as written, of length 2|w| + |c|:
+    the last letter of ``w`` is neither the inverse of the first letter of
+    ``c`` nor the last letter of ``c``.  (A longer suffix of ``w`` that is an
+    inverted prefix or a suffix of ``c`` already ends in such a letter.)
     """
     if not w.is_reduced():
         raise WordError("w must be reduced")
-    wl, cl = w.letters, c.letters
-    for k in range(1, min(len(wl), len(cl)) + 1):
-        tail = wl[-k:]
-        if tail == tuple(-x for x in reversed(cl[:k])):
-            return False
-        if tail == cl[-k:]:
-            return False
-    return True
+    if len(c) == 0:
+        raise WordError("satisfies_no_cancellation needs a nontrivial class")
+    return not w.letters or w.letters[-1] not in (-c.letters[0], c.letters[-1])
 
 
 def conjugates_in_ball(c: CyclicWord, n: int) -> int:

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from randcurve.covers import (Partition, _degree_by_enumeration, hall_count,
+from randcurve.covers import (CoverSearchError, Partition, _degree_by_enumeration,
+                              hall_count,
                               hook_degree, mednykh_count, partitions,
                               simple_lifting_degree, subgroup_class_count,
                               subgroup_count_by_enumeration,
@@ -56,6 +57,16 @@ def test_transitive_counts():
     assert count_transitive_reps(2, 2) == 3
     reps = list(transitive_reps(2, 2))
     assert all(r.is_transitive for r in reps)
+
+
+def test_transitive_reps_budget():
+    # (7!)^2 and (5!)^3 tuples are refused before the first one is scanned
+    with pytest.raises(CoverSearchError):
+        next(transitive_reps(2, 7))
+    with pytest.raises(CoverSearchError):
+        next(transitive_reps(3, 5))
+    # (6!)^2 = 518,400 tuples stay within the budget
+    assert next(transitive_reps(2, 6)).is_transitive
 
 
 def test_mednykh_values_and_enumeration():

@@ -156,8 +156,13 @@ def test_intersection_symmetric_and_matches_oracle():
 
 
 def test_brute_budget():
+    # 9! orderings on one edge
     with pytest.raises(BudgetExceeded):
-        brute_min_crossings(P("a" * 9), budget=8)
+        brute_min_crossings(P("a" * 9))
+    # 8! * 8! orderings: refused before any is tried, where a per-edge limit
+    # of 8 would enumerate them all
+    with pytest.raises(BudgetExceeded):
+        brute_min_crossings(P("a" * 8 + "b" * 8))
 
 
 def test_elevations_of_simple_curves_are_simple():

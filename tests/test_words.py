@@ -268,9 +268,11 @@ def test_no_cancellation_length_formula_exhaustive():
         for L, ws in words_by_len.items():
             for wl in ws:
                 w = Word(wl, 2)
-                if satisfies_no_cancellation(w, c):
-                    full = w.concat(Word(c.letters, 2)).concat(w.inverse())
-                    assert len(reduce(full)) == 2 * L + len(c)
+                full = w.concat(Word(c.letters, 2)).concat(w.inverse())
+                exact = len(reduce(full)) == 2 * L + len(c)
+                assert satisfies_no_cancellation(w, c) == exact, (wl, c)
+    with pytest.raises(WordError):
+        satisfies_no_cancellation(W("a"), CyclicWord((), 2))
 
 
 def _conjugates_by_search(c: CyclicWord, n: int) -> int:
