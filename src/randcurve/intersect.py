@@ -18,7 +18,9 @@ darts along the axis of a simple core, whose root has c darts, and leaves
 the axis on one side at both ends crosses s // c of its core translates,
 or one fewer when c divides s and, at the vertex where the last translate's
 backward end and its own forward end leave the axis, its own comes first.
-The core is checked for simplicity once per (core, graph).  The runs are
+The core is checked for simplicity once per (core, graph), and a sample's
+darts, their text and its primitive root are built once per (curve, graph)
+and read by its spiraling around every core.  The runs are
 found by a compiled regular expression over the darts as characters, one
 per core orientation and phase: the next run start whose run holds more
 roots than the best score so far, so only runs that can raise the score
@@ -443,6 +445,21 @@ def _simple_core(alpha: CyclicWord, g: RibbonGraph):
             (root.letters, root.inverse().letters))
 
 
+@lru_cache(maxsize=1)
+def _dart_text(gamma: CyclicWord, g: RibbonGraph):
+    """The darts of ``gamma``, the same darts as a string of characters, and
+    the letters of its primitive root, built once per (curve, graph): the
+    spiraling of one sample around each core reads them.  Raises
+    ``RibbonError`` for a letter with no dart; an error is not cached, so it
+    raises again on every call."""
+    dart_of_letter = g._dart_of_letter
+    try:
+        d = tuple([dart_of_letter[x] for x in gamma.letters])
+    except KeyError as exc:
+        raise RibbonError(f"no dart labeled {exc.args[0]}") from None
+    return d, "".join(map(chr, d)), gamma.primitive_root()[0].letters
+
+
 @lru_cache(maxsize=1024)
 def _run_search(rot: str, before: str, k: int):
     """Search for a run start: ``rot`` not preceded by ``before``, repeated
@@ -465,18 +482,13 @@ def spiraling(gamma: CyclicWord, alpha: CyclicWord, g: RibbonGraph) -> int:
     if len(alpha) == 0 or len(gamma) == 0:
         raise WordError("spiraling needs nontrivial curves")
     cores, roots = _simple_core(alpha, g)
-    dart_of_letter = g._dart_of_letter
-    try:
-        d = [dart_of_letter[x] for x in gamma.letters]
-    except KeyError as exc:
-        raise RibbonError(f"no dart labeled {exc.args[0]}") from None
-    if gamma.primitive_root()[0].letters in roots:
+    d, darts, root = _dart_text(gamma, g)
+    if root in roots:
         raise IntersectionError("curve is a power of a conjugate of the core")
     pair = g.pair
     L, c = len(d), len(cores[0])
     # text[i + 1] is d[i % L]; a maximal run is shorter than L + c - 1
     # (Fine-Wilf), so every run starting at 0..L-1 fits in the text
-    darts = "".join(map(chr, d))
     text = darts[-1] + (darts * (c + 2))[:2 * L + c]
     best = 0
     for core in cores:

@@ -3,7 +3,14 @@ and scaling-law fits.
 
 Reproducibility contract: every sample draws from its own RNG seeded by
 (master seed, sampler, n, sample index), so results are bit-identical
-regardless of worker count or scheduling.
+regardless of worker count or scheduling.  A walk of n letters is drawn as
+one ``getrandbits(64 * n)`` block and equals ``Random.choices(letters,
+weights=probs, k=n)`` letter for letter, leaving the generator in the same
+state: CPython fills the block from its least significant 32-bit word up,
+one Mersenne Twister output per word, so it holds the 2n outputs that n
+``random()`` calls read, in their order.  The tests hold the draw to
+``Random.choices`` as its oracle, so a Python whose word order differed
+would fail them rather than change the streams.
 """
 
 from __future__ import annotations
@@ -23,8 +30,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 from . import __version__
-from .intersect import (EdgePath, check_quadratic_bound, intersection,
-                        self_intersection, spiraling)
+from .intersect import (EdgePath, _dart_text, check_quadratic_bound,
+                        intersection, self_intersection, spiraling)
 from .ribbon import SURFACE_PRESETS, surface
 from .words import (BallSpec, CyclicWord, Word, WordError, _unchecked,
                     _validate_letters, alphabet_letters, check_conjugacy_bound,
@@ -100,27 +107,110 @@ def _sphere_cumulative(rank: int, n: int) -> tuple[int, ...]:
                                       for k in range(n + 1)))
 
 
+_X_SCALE = 1.0 / (1 << 53)  # random() returns X * _X_SCALE for its 53-bit X
+_BUCKET_BITS = 45  # X >> 45 is the top byte of the first of its two outputs
+
+
+@functools.lru_cache(maxsize=64)
+def _walk_draw_table(rank: int, probs: tuple[float, ...]):
+    """The letters of ``rank``, the thresholds and the top-byte table that
+    turn a 53-bit draw X into the letter ``Random.choices`` picks with weights
+    ``probs`` when ``random()`` returns X / 2^53.
+
+    The pick is ``bisect(cum, X / 2^53 * total, 0, 2r - 1)``, nondecreasing
+    in X; threshold j is the least X at which it reaches j, found by binary
+    search on that same float expression (2^53 if it never does).  Entry t
+    of the table is the letter of every X with top byte t, as a signed byte,
+    or 0 when a threshold splits that bucket.  Raises ``ConfigError`` unless
+    ``probs`` holds 2r finite nonnegative weights with a positive total; an
+    error is not cached."""
+    letters = alphabet_letters(rank)
+    if len(probs) != len(letters):
+        raise ConfigError(f"need {len(letters)} walk probabilities, "
+                          f"got {len(probs)}")
+    if not all(0.0 <= p < math.inf for p in probs):
+        raise ConfigError("walk probabilities must be finite and nonnegative")
+    cum = list(itertools.accumulate(probs))
+    total = cum[-1] + 0.0
+    if not 0.0 < total < math.inf:
+        raise ConfigError("walk probabilities must have a positive finite total")
+    hi = len(cum) - 1
+    thresholds = []
+    for j in range(1, hi + 1):
+        lo, up = 0, 1 << 53
+        while lo < up:
+            mid = (lo + up) // 2
+            if bisect.bisect(cum, mid * _X_SCALE * total, 0, hi) >= j:
+                up = mid
+            else:
+                lo = mid + 1
+        thresholds.append(lo)
+    table = bytearray(256)
+    for t in range(256):
+        x0, x1 = t << _BUCKET_BITS, (t + 1) << _BUCKET_BITS
+        if not any(x0 < x < x1 for x in thresholds):
+            table[t] = letters[bisect.bisect(thresholds, x0)] & 0xFF
+    return letters, tuple(thresholds), bytes(table)
+
+
+def _walk_letters(rng: random.Random, rank: int, probs, n: int) -> tuple[int, ...]:
+    """The n letters that ``Random.choices(alphabet_letters(rank),
+    weights=probs, k=n)`` would return from ``rng``, drawn as one block of 2n
+    32-bit outputs."""
+    letters, thresholds, table = _walk_draw_table(rank, probs)
+    # bytes 8k..8k+7 hold the outputs a, b that the k-th random() reads,
+    # little-endian; its X is (a >> 5) * 2^26 + (b >> 6)
+    raw = rng.getrandbits(64 * n).to_bytes(8 * n, "little")
+    out = raw[3::8].translate(table)
+    if 0 in table:
+        out = bytearray(out)
+        k = out.find(0)
+        while k >= 0:
+            ab = int.from_bytes(raw[8 * k:8 * k + 8], "little")
+            x = (ab & 0xFFFFFFFF) >> 5 << 26 | ab >> 38
+            out[k] = letters[bisect.bisect(thresholds, x)] & 0xFF
+            k = out.find(0, k + 1)
+    return tuple(memoryview(out).cast("b").tolist())
+
+
 def sample_word(rng: random.Random, sampler: str, rank: int, probs, n: int) -> Word:
     """One word drawn from ``rng``.
 
     ``walk``: n i.i.d. letters with weights ``probs`` in the letter order
-    (1..r, -1..-r), not reduced.  ``ball``: an exactly uniform element of
-    the radius-n ball, its length k drawn with probability |S_k|/|B_n|;
-    ``probs`` is ignored.
+    (1..r, -1..-r), not reduced.  They equal ``Random.choices(
+    alphabet_letters(rank), weights=probs, k=n)`` letter for letter and
+    leave ``rng`` in the same state, but come from one ``getrandbits(64 *
+    n)`` block: CPython fills it from the least significant 32-bit word up,
+    one Mersenne Twister output each, so it holds the 2n outputs that n
+    ``random()`` calls read, in their order.  Most letters are read off the
+    top byte of the first output of their pair through one table; a letter
+    whose byte does not decide it is read from its full 53 bits.
+    ``ball``: an exactly uniform element of the radius-n ball, its length k
+    drawn with probability |S_k|/|B_n|; ``probs`` is ignored.
+
+    Raises ``ConfigError``, before any draw, for an unknown sampler, a
+    negative n, or walk ``probs`` that are not 2r finite nonnegative
+    numbers with a positive total.
     """
+    if sampler not in ("walk", "ball"):
+        raise ConfigError(f"sampler must be 'walk' or 'ball', got {sampler!r}")
+    if n < 0:
+        raise ConfigError(f"word length must be nonnegative, got {n}")
     if sampler == "walk":
         _validate_letters((), rank)
-        return _unchecked(Word, tuple(rng.choices(alphabet_letters(rank),
-                                                  weights=probs, k=n)), rank)
+        try:
+            probs = tuple(map(float, probs))
+        except (TypeError, ValueError):
+            raise ConfigError(f"walk probabilities must be numbers, "
+                              f"got {probs!r}") from None
+        return _unchecked(Word, _walk_letters(rng, rank, probs, n), rank)
     cum = _sphere_cumulative(rank, n)
-    k = bisect.bisect_right(cum, rng.randrange(cum[-1] if cum else 0))
+    k = bisect.bisect_right(cum, rng.randrange(cum[-1]))
     return uniform_reduced_word(rng, rank, k)
 
 
 def random_walk(mu: WalkDistribution, n: int, seed: int) -> Word:
     """Word of n i.i.d. letters drawn from ``mu`` (not reduced)."""
-    if n < 0:
-        raise ConfigError("walk length must be nonnegative")
     return sample_word(_rng(seed, "walk"), "walk", mu.rank, mu.probs, n)
 
 
@@ -305,7 +395,7 @@ def _sample_word(cfg_sampler, rank, probs, n, seed, index) -> Word:
 def _max_spiraling(gamma: CyclicWord, rank: int, g) -> int:
     """Largest spiraling of ``gamma`` around a generator other than its own
     primitive root (0 if there is none)."""
-    root = gamma.primitive_root()[0].letters
+    root = _dart_text(gamma, g)[2]
     return max((spiraling(gamma, CyclicWord((j,), rank), g)
                 for j in range(1, rank + 1) if root not in ((j,), (-j,))),
                default=0)

@@ -4,8 +4,9 @@ import random
 import pytest
 
 from randcurve.intersect import (BudgetExceeded, EdgePath, IntersectionError,
-                                 _backward_ray, _divergence, _forward_ray,
-                                 _linked, brute_min_crossings, check_invariance,
+                                 _backward_ray, _dart_text, _divergence,
+                                 _forward_ray, _linked, _simple_core,
+                                 brute_min_crossings, check_invariance,
                                  intersection, self_intersection, spiraling)
 from randcurve.ribbon import (PermRep, RibbonError, genus2_boundary1,
                               pair_of_pants, punctured_torus)
@@ -209,6 +210,55 @@ def test_spiraling_non_simple_core_raises_on_every_call():
     for _ in range(3):
         with pytest.raises(IntersectionError, match="simple"):
             spiraling(C("ab"), C("aabb"), PT)
+
+
+def test_spiraling_alternating_calls_match_isolated_calls():
+    # the dart text is cached for the last (curve, graph): interleaving
+    # curves, cores and graphs must not leak one call's text into another
+    g2 = genus2_boundary1()
+    calls = [(C(w), C(core), g)
+             for w in ("Baaaba", "baBa", "BababA", "baabab", "abab")
+             for core in ("a", "b", "ab") for g in (PT, PP)]
+    calls += [(CyclicWord.from_string(w, 4), CyclicWord.from_string(core, 4), g2)
+              for w in ("aaCbAc", "cdCbd") for core in "ac"]
+
+    def call(gamma, alpha, g):
+        try:
+            return spiraling(gamma, alpha, g)
+        except IntersectionError as exc:
+            return str(exc)
+
+    isolated = []
+    for args in calls:
+        _dart_text.cache_clear()
+        _simple_core.cache_clear()
+        isolated.append(call(*args))
+    assert any(isinstance(v, int) and v > 0 for v in isolated)
+    assert any(isinstance(v, str) for v in isolated)
+    rng = random.Random(3)
+    for _ in range(3):
+        order = list(range(len(calls)))
+        rng.shuffle(order)
+        assert [call(*calls[i]) for i in order] == [isolated[i] for i in order]
+
+
+def test_spiraling_errors_raise_on_every_call():
+    # an error is never cached: a curve with no dart on PT (but darts on a
+    # rank-4 surface), and a power of the core, fail on every call, also
+    # right after a successful call on the same curve
+    g2 = genus2_boundary1()
+    abc = CyclicWord.from_string("abc", 3)
+    a3 = CyclicWord.from_string("a", 3)
+    for _ in range(2):
+        assert spiraling(abc, a3, g2) == 0
+        for _ in range(2):
+            with pytest.raises(RibbonError, match="no dart"):
+                spiraling(abc, a3, PT)
+    for _ in range(2):
+        assert spiraling(C("aa"), C("b"), PT) == 0
+        for _ in range(2):
+            with pytest.raises(IntersectionError, match="power"):
+                spiraling(C("aa"), C("a"), PT)
 
 
 def test_spiraling_longer_core():

@@ -160,6 +160,13 @@ def test_kernel_runs_without_numpy():
         "assert self_intersection(p) > 0",
         "assert intersection(p, edge_path(cyclic('a'), g)) > 0",
         "assert simple_lifting_degree(cyclic('aabb'), g).degree == 2",
+        "from randcurve.stats import (ExperimentConfig, WalkDistribution,",
+        "                             drift_estimate, random_walk, run_experiment)",
+        "assert len(random_walk(WalkDistribution.uniform(2), 50, 0)) == 50",
+        "assert drift_estimate(WalkDistribution.uniform(2), 40, 5, 0).mean > 0",
+        "for family in ('spiral', 'self-int'):",
+        "    run_experiment(ExperimentConfig(experiment=family, n_grid=(12,),",
+        "                                    samples=3))",
         "assert 'numpy' not in sys.modules, 'numpy was imported'",
     ))
     src = Path(__file__).resolve().parent.parent / "src"

@@ -3,12 +3,14 @@ import hashlib
 import json
 import math
 import os
+import random
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import randcurve.stats as stats
 from randcurve.fricke import ParabolicWordError, minimize_length
@@ -16,9 +18,9 @@ from randcurve.stats import (ConfigError, ExperimentConfig,
                              ExperimentTable, RowStats, WalkDistribution,
                              _sample_word, drift_estimate, fit_log_law,
                              fit_power_law, random_walk, run_experiment,
-                             sample_ball_uniform)
-from randcurve.words import (BallSpec, CyclicWord, ball_size, cyclic_classes,
-                             cyclic_reduce, sphere_size)
+                             sample_ball_uniform, sample_word)
+from randcurve.words import (BallSpec, CyclicWord, alphabet_letters, ball_size,
+                             cyclic_classes, cyclic_reduce, sphere_size)
 
 
 def test_distribution_validation():
@@ -64,6 +66,115 @@ def test_walk_word_uses_every_letter_linearly():
     lc = letter_counts(cyclic_reduce(w))
     for x in (1, -1, 2, -2):
         assert lc.counts.get(x, 0) >= 0.05 * n
+
+
+# --- the walk draw against rng.choices ----------------------------------------
+
+WALK_LENGTHS = (0, 1, 2, 3, 17, 250, 2000)
+
+
+def assert_walk_matches_choices(rank, probs, n, seed):
+    """``sample_word``'s walk equals ``rng.choices`` letter for letter and
+    leaves the generator in the same state."""
+    rng, oracle = random.Random(seed), random.Random(seed)
+    got = sample_word(rng, "walk", rank, probs, n).letters
+    expected = oracle.choices(alphabet_letters(rank), weights=probs, k=n)
+    assert got == tuple(expected), (rank, probs, n, seed)
+    assert rng.getstate() == oracle.getstate()
+
+
+def random_probs(rng, rank):
+    """Random weights for the 2r letters, about a fifth of them zero (at
+    least one left positive), normalized so that the sum may be off 1 by
+    rounding."""
+    weights = [0.0 if rng.random() < 0.2 else rng.random()
+               for _ in range(2 * rank)]
+    weights[rng.randrange(2 * rank)] = rng.random() + 0.01
+    total = sum(weights)
+    return tuple(w / total for w in weights)
+
+
+@pytest.mark.parametrize("rank", (1, 2, 3, 4, 5, 26))
+def test_walk_draw_matches_choices(rank):
+    rng = random.Random(rank)
+    probs_list = [(1 / (2 * rank),) * (2 * rank)]
+    probs_list += [random_probs(rng, rank) for _ in range(8)]
+    for probs in probs_list:
+        for n in WALK_LENGTHS:
+            assert_walk_matches_choices(rank, probs, n, rng.getrandbits(64))
+
+
+class ScriptedRandom(random.Random):
+    """Serves given 32-bit outputs in order, read as CPython reads Mersenne
+    Twister outputs: ``random()`` takes two, a and b, and returns
+    ((a >> 5) * 2^26 + (b >> 6)) / 2^53; ``getrandbits(32 * m)`` takes m,
+    the first as the least significant word."""
+
+    def __init__(self, words):
+        super().__init__(0)
+        self.words = iter(words)
+
+    def random(self):
+        a, b = next(self.words) >> 5, next(self.words) >> 6
+        return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)
+
+    def getrandbits(self, k):
+        return sum(next(self.words) << 32 * i for i in range(k // 32))
+
+
+def test_walk_draw_at_thresholds():
+    # draws X = t - 1, t, t + 1 at every threshold t, and at the edges of
+    # every top-byte bucket, with random low bits below the 53 that count;
+    # thresholds on a bucket's first X (uniform rank 2), inside buckets, and
+    # on the last X of bucket 127 (2^52 - 1); 0.7 + 0.1 + 0.1 + 0.1 sums to
+    # 0.9999999999999999
+    rng = random.Random(8)
+    for rank, probs in ((2, (0.25,) * 4), (3, (1 / 6,) * 6),
+                        (2, (0.7, 0.1, 0.1, 0.1)), (3, random_probs(rng, 3)),
+                        (2, (0.5 - 2 ** -53, 0.5 + 2 ** -53, 0.0, 0.0))):
+        _, thresholds, _ = stats._walk_draw_table(rank, probs)
+        xs = [x for t in thresholds for x in (t - 1, t, t + 1)]
+        xs += [x for t in range(1, 256) for x in ((t << 45) - 1, t << 45)]
+        xs = [x for x in xs if 0 <= x < 1 << 53]
+        words = []
+        for x in xs:
+            words += [(x >> 26) << 5 | rng.getrandbits(5),
+                      (x & (1 << 26) - 1) << 6 | rng.getrandbits(6)]
+        got = sample_word(ScriptedRandom(words), "walk", rank, probs, len(xs))
+        expected = ScriptedRandom(words).choices(alphabet_letters(rank),
+                                                 weights=probs, k=len(xs))
+        assert got.letters == tuple(expected), (rank, probs)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(st.integers(1, 4).flatmap(lambda r: st.tuples(
+           st.just(r),
+           st.lists(st.floats(0, 1e6), min_size=2 * r, max_size=2 * r)
+           .filter(lambda ws: sum(ws) > 0))),
+       st.sampled_from(WALK_LENGTHS[:6]), st.integers(0, 2 ** 32))
+def test_walk_draw_matches_choices_property(rank_weights, n, seed):
+    rank, weights = rank_weights
+    assert_walk_matches_choices(rank, tuple(weights), n, seed)
+
+
+@pytest.mark.parametrize("sampler, rank, probs, n", [
+    ("wlak", 2, None, 3),                    # unknown sampler
+    ("walk", 2, (0.25,) * 4, -1),            # negative length
+    ("ball", 2, None, -1),
+    ("walk", 2, (0.5, 0.5), 3),              # one weight per letter
+    ("walk", 2, None, 3),
+    ("walk", 2, (0.5, 0.5, -0.25, 0.25), 3),  # negative weight
+    ("walk", 2, (0.0,) * 4, 3),              # zero total
+    ("walk", 2, (0.25, 0.25, math.nan, 0.25), 3),
+    ("walk", 2, (0.25, 0.25, math.inf, 0.25), 3),
+    ("walk", 2, ("x", 0.25, 0.25, 0.25), 3),
+])
+def test_sample_word_validates_before_drawing(sampler, rank, probs, n):
+    rng = random.Random(4)
+    state = rng.getstate()
+    with pytest.raises(ConfigError):
+        sample_word(rng, sampler, rank, probs, n)
+    assert rng.getstate() == state
 
 
 def test_ball_sampling_exact_distribution():
