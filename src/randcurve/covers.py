@@ -1,14 +1,18 @@
 """Simple lifting degree by a backtracking search, and subgroup-counting
 formulas with enumeration cross-checks.
 
-``simple_lifting_degree`` finds, for d = 1, 2, ..., the fewest sheets on
-which the elevation of a curve's primitive root can close up embedded.  It
-walks that elevation from sheet 0, defining permutation entries only when
-the walk needs them and numbering sheets in order of first visit (the
+``simple_lifting_degree`` finds, for d = ω, ω + 1, ..., the fewest sheets
+on which the elevation of a curve's primitive root can close up embedded.
+It walks that elevation from sheet 0, defining permutation entries only
+when the walk needs them and numbering sheets in order of first visit (the
 low-index-subgroups technique, Sims, *Computation with Finitely Presented
 Groups*, ch. 5), and cuts a branch as soon as one sheet holds two linked
 positions of the root; the linked positions are the bitmasks of
-``intersect.linked_masks``, computed once per curve.  The enumeration of
+``intersect.linked_masks``, computed once per curve.  Pairwise linked
+positions need distinct sheets, so the search starts at ω, the size of the
+largest such set found by ``clique_bound``, a bitmask branch and bound
+(Bron-Kerbosch, CACM 1973; Carraghan-Pardalos, Oper. Res. Lett. 1990)
+with a total node budget ``MAX_CLIQUE_NODES``.  The enumeration of
 transitive tuples it replaced is kept as the test oracle
 ``_degree_by_enumeration``.
 
@@ -195,14 +199,54 @@ def subgroup_class_count(rank: int, d: int, closed_genus: int | None = None) -> 
 
 @dataclass(frozen=True)
 class DegreeSearchResult:
+    """``lower_bound`` is the certified bound the search started at: the
+    degree when found, else more than ``d_max``, is at least it."""
     degree: int | None
     d_max: int
     witness: PermRep | None = None
     elevation_index: int | None = None
+    lower_bound: int = 1
 
     @property
     def found(self) -> bool:
         return self.degree is not None
+
+
+MAX_CLIQUE_NODES = 10 ** 5  # search nodes clique_bound visits in all
+
+
+def clique_bound(masks, cap: int | None = None, budget: int | None = None) -> int:
+    """Size of a largest set of pairwise linked positions, the clique number
+    of the graph whose adjacency bitmasks are ``masks``; ``cap`` once a
+    clique of ``cap`` positions is found.
+
+    A branch and bound over bitmask candidate sets (Carraghan-Pardalos): a
+    clique grows by positions in decreasing order, the branch with the most
+    candidates first, and a branch is cut when its clique and candidates
+    together cannot beat the best clique so far.  After ``budget`` nodes
+    (default ``MAX_CLIQUE_NODES``) the search stops with the largest clique
+    found, still a lower bound.
+    """
+    if budget is None:
+        budget = MAX_CLIQUE_NODES
+    best = 0
+    stack = [(0, (1 << len(masks)) - 1)]
+    while stack and budget > 0:
+        budget -= 1
+        size, cand = stack.pop()
+        if size > best:
+            best = size
+            if best == cap:
+                break
+        if size + cand.bit_count() <= best:
+            continue
+        below = 0  # the candidates already passed, lower than the next one
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            stack.append((size + 1, below & masks[low.bit_length() - 1]))
+            below |= low
+    return best
 
 
 def _embedded_walk(letters, power: int, linked_masks, rank: int, d: int):
@@ -296,20 +340,29 @@ def simple_lifting_degree(gamma: CyclicWord, g: RibbonGraph,
     and the least d with an embedded closed walk is the degree.  The witness
     fills the undefined entries in increasing order; ``elevation_index``
     names the elevation through sheet 0.
+
+    No sheet holds two linked positions, so pairwise linked positions lie
+    on distinct sheets and the degree is at least the clique number of the
+    linked graph.  The search starts at that bound (``clique_bound``,
+    capped at ``d_max + 1``), and a bound past ``d_max`` ends it with no
+    walk.
     """
+    if d_max < 1:
+        raise CoverSearchError(f"d_max must be positive, got {d_max}")
     if len(gamma) == 0:
         raise WordError("trivial curve")
     if g.vertex_count != 1:
         raise CoverSearchError("degree search expects a one-vertex spine")
     root, power = gamma.primitive_root()
     masks = linked_masks(EdgePath.from_word(root, g))
-    for d in range(1, d_max + 1):
+    start = max(1, clique_bound(masks, d_max + 1))
+    for d in range(start, d_max + 1):
         fwd = _embedded_walk(root.letters, power, masks, g.rank, d)
         if fwd is not None:
             rep = PermRep(d, _complete(fwd, d))
             # elevations() lists the cycle through sheet 0 first
-            return DegreeSearchResult(d, d_max, rep, 0)
-    return DegreeSearchResult(None, d_max)
+            return DegreeSearchResult(d, d_max, rep, 0, start)
+    return DegreeSearchResult(None, d_max, lower_bound=start)
 
 
 def check_degree_bounds(degree: int | None, i: int, spiral: int) -> None:

@@ -6,12 +6,14 @@ induces on the ends of the universal cover (a tree); this is the
 linked-pair criterion of Cohen-Lustig.  The kernel sorts the two ends of
 every vertex passage of a path once, by first dart and turn sequence, and
 reads every linked pair off that order as a bitmask per passage
-(``linked_masks``).  Two crossing lines share a segment of one or more
-vertices; a linked pair counts only at the vertex where that segment
-starts, so each crossing is counted once with integers alone.  The
-self-intersection of a primitive path is half its ordered count; a proper
-power w^k is handled by the k-parallel-strand cable model, contributing k^2
-crossings per base crossing plus k-1 for closing the cable.
+(``linked_masks``, kept for the last path, so a lifting sample's
+self-intersection and cover search share its root's masks).  Two crossing
+lines share a segment of one or more vertices; a linked pair counts only
+at the vertex where that segment starts, so each crossing is counted once
+with integers alone.  The self-intersection of a primitive path is half
+its ordered count; a proper power w^k is handled by the k-parallel-strand
+cable model, contributing k^2 crossings per base crossing plus k-1 for
+closing the cable.
 
 ``spiraling`` reads the same circular order of ends.  A lift that runs s
 darts along the axis of a simple core, whose root has c darts, and leaves
@@ -282,13 +284,17 @@ def _linked_masks(g: RibbonGraph, paths) -> list[int]:
     return [prefix[h] ^ prefix[l + 1] for l, h in zip(lo, hi)]
 
 
+@lru_cache(maxsize=1)
 def linked_masks(path: EdgePath) -> list[int]:
     """Per position of a primitive path, the bitmask of the positions whose
-    passages are linked with it."""
+    passages are linked with it.  Kept for the last path, because a lifting
+    sample reads its root's masks twice, to count its self-intersection and
+    to search its covers; callers share the list and must not modify it."""
     return _linked_masks(path.graph, [path.darts])
 
 
-def _ordered_crossings(g: RibbonGraph, paths, sources, targets: int) -> int:
+def _ordered_crossings(g: RibbonGraph, paths, masks, sources,
+                       targets: int) -> int:
     """Linked ordered pairs (s, t), s in ``sources`` and t a bit of
     ``targets``, whose lines' shared segment starts at the vertex of the
     passages: B_s(0) is neither B_t(0) nor F_t(0).
@@ -296,9 +302,8 @@ def _ordered_crossings(g: RibbonGraph, paths, sources, targets: int) -> int:
     Each crossing of two lines shares a segment of one or more vertices and
     is seen at each of them; the start rule keeps the first vertex along s.
     Equal ends (powers of one root) belong to passages on one line, which the
-    start rule always skips.
+    start rule always skips.  ``masks`` are the linked masks of ``paths``.
     """
-    masks = _linked_masks(g, paths)
     pair = g.pair
     first_darts = [(pair[d[i - 1]], d[i]) for d in paths for i in range(len(d))]
     touching = {}  # dart -> targets whose chord at this vertex uses the dart
@@ -322,7 +327,8 @@ def self_intersection(p: EdgePath) -> int:
     """
     root, k = p.primitive_root()
     n = len(root)
-    ordered = _ordered_crossings(root.graph, [root.darts], range(n), (1 << n) - 1)
+    ordered = _ordered_crossings(root.graph, [root.darts], linked_masks(root),
+                                 range(n), (1 << n) - 1)
     if ordered % 2:
         raise AssertionError("odd ordered crossing count: invariant violated")
     return k * k * (ordered // 2) + (k - 1)
@@ -355,8 +361,9 @@ def intersection(p: EdgePath, q: EdgePath) -> int:
     ru, k = p.primitive_root()
     rv, m = q.primitive_root()
     nu, nv = len(ru), len(rv)
-    count = _ordered_crossings(p.graph, [ru.darts, rv.darts], range(nu),
-                               ((1 << nv) - 1) << nu)
+    paths = [ru.darts, rv.darts]
+    count = _ordered_crossings(p.graph, paths, _linked_masks(p.graph, paths),
+                               range(nu), ((1 << nv) - 1) << nu)
     return k * m * count
 
 

@@ -26,7 +26,6 @@ import statistics
 import types
 import typing
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 from . import __version__
@@ -274,8 +273,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown surface {self.surface!r}")
         if not self.n_grid or any(n < 0 for n in self.n_grid):
             raise ConfigError("n_grid must be nonempty and nonnegative")
-        if self.samples < 1 or self.jobs < 1:
-            raise ConfigError("samples and jobs must be positive")
+        if self.samples < 1 or self.jobs < 1 or self.d_max < 1:
+            raise ConfigError("samples, jobs and d_max must be positive")
         mu = self.distribution()
         if self.experiment == "lifting" and not mu.is_uniform:
             raise ConfigError("lifting-degree experiments require the uniform "
@@ -448,9 +447,12 @@ def _measure_one(payload):
     elif family == "lifting":
         from .covers import check_degree_bounds, simple_lifting_degree
 
+        # both read the root's linked masks, computed once per sample
         i = self_intersection(EdgePath.from_word(gamma, g))
         res = simple_lifting_degree(gamma, g, d_max=config.d_max)
-        check_degree_bounds(res.degree, i, _max_spiraling(gamma, config.rank, g))
+        if res.found:  # a not-found degree has no bounds to check
+            check_degree_bounds(res.degree, i,
+                                _max_spiraling(gamma, config.rank, g))
         outcome, value = ("found" if res.found else "not_found"), res.degree
     elif family == "spiral":
         value = _max_spiraling(gamma, config.rank, g)
@@ -510,6 +512,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentTable:
     payloads = [(config, probs, n, idx)
                 for n in config.n_grid for idx in range(config.samples)]
     if config.jobs > 1:
+        # imported here: a process pool costs a single-job run its import
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.jobs) as ex:
             results = list(ex.map(_measure_one, payloads,
                                   chunksize=max(1, len(payloads) // (config.jobs * 8))))

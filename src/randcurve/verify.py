@@ -13,13 +13,14 @@ import math
 import random
 import time
 
-from .covers import (check_degree_bounds, hall_count, hook_degree,
-                     mednykh_count, partitions, simple_lifting_degree,
-                     subgroup_count_by_enumeration)
+from .covers import (_embedded_walk, check_degree_bounds, hall_count,
+                     hook_degree, mednykh_count, partitions,
+                     simple_lifting_degree, subgroup_count_by_enumeration)
 from .fricke import (FrickePoint, collar_width, distance_proxy, geodesic_length,
                      holonomy, minimize_length, rose_minimizer)
 from .intersect import (EdgePath, brute_min_crossings, check_invariance,
-                        check_quadratic_bound, intersection, self_intersection)
+                        check_quadratic_bound, intersection, linked_masks,
+                        self_intersection)
 from .ribbon import (PermRep, RibbonGraph, boundary_words, cover, elevations,
                      pair_of_pants, project_elevation, punctured_torus,
                      signature)
@@ -191,6 +192,14 @@ def verify_covers(fast=True):
         res = simple_lifting_degree(c, pt, d_max=4)
         check_degree_bounds(res.degree, self_intersection(EdgePath.from_word(c, pt)),
                             _max_spiraling(c, 2, pt))
+        if res.found and res.lower_bound > res.degree:
+            return False, "degree below its clique bound"
+        # the levels the search skipped hold no embedded elevation
+        root, power = c.primitive_root()
+        masks = linked_masks(EdgePath.from_word(root, pt))
+        if any(_embedded_walk(root.letters, power, masks, 2, d) is not None
+               for d in range(1, res.lower_bound)):
+            return False, "clique bound skipped the degree"
         inv = simple_lifting_degree(c.inverse(), pt, d_max=4)
         if res.degree != inv.degree:
             return False, "degree not inversion invariant"

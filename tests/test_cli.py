@@ -44,6 +44,13 @@ def test_degree():
     assert code == 0 and out == "not-found(dmax=3)\n"
 
 
+@pytest.mark.parametrize("dmax", ["0", "-2"])
+def test_degree_rejects_nonpositive_dmax(capsys, dmax):
+    code, out = run_cli("degree", "--word", "abAB", "--dmax", dmax)
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == f"error: d_max must be positive, got {dmax}\n"
+
+
 def test_spiral():
     code, out = run_cli("spiral", "--word", "Baaaba", "--alpha", "a")
     assert code == 0 and out == "3\n"
@@ -171,6 +178,7 @@ def test_experiment_unknown_config_key(tmp_path, capsys):
     (("--family", "self-int", "--rank", "3"), "does not match surface"),
     (("--family", "fixed-curve-int", "--alpha", "xyz"), "alpha 'xyz'"),
     (("--family", "fixed-curve-int", "--alpha", "aA"), "trivial class"),
+    (("--family", "lifting", "--dmax", "0"), "d_max must be positive"),
 ])
 def test_experiment_bad_config_fails_before_sampling(capsys, argv, message):
     code = main(["experiment", *argv, "--n-grid", "6", "--samples", "2"])

@@ -3,14 +3,16 @@ import random
 
 import pytest
 
-from randcurve.covers import (CoverSearchError, Partition, _degree_by_enumeration,
-                              hall_count,
+import randcurve.covers as covers
+from randcurve.covers import (CoverSearchError, Partition, _complete,
+                              _degree_by_enumeration, _embedded_walk,
+                              clique_bound, hall_count,
                               hook_degree, mednykh_count, partitions,
                               simple_lifting_degree, subgroup_class_count,
                               subgroup_count_by_enumeration,
                               count_transitive_reps, transitive_reps)
-from randcurve.intersect import EdgePath, self_intersection
-from randcurve.ribbon import elevations, punctured_torus
+from randcurve.intersect import EdgePath, linked_masks, self_intersection
+from randcurve.ribbon import PermRep, elevations, punctured_torus
 from randcurve.stats import _max_spiraling
 from randcurve.words import (CyclicWord, Word, alphabet_letters, cyclic_classes,
                              cyclic_reduce)
@@ -126,6 +128,7 @@ def _assert_matches_oracle(classes, d_max, exhaustive=False):
         oracle = _degree_by_enumeration(c, PT, d_max, exhaustive=exhaustive)
         assert res.degree == oracle.degree, c
         if res.found:
+            assert res.lower_bound <= oracle.degree, c
             _assert_witness_embedded(c, res)
             found += 1
     return found
@@ -152,6 +155,90 @@ def test_backtracking_matches_enumeration_on_long_walks():
             words.append(c)
     found = _assert_matches_oracle(words, d_max=5)
     assert 0 < found < len(words)
+
+
+def _root_masks(c):
+    root, power = c.primitive_root()
+    return root, power, linked_masks(EdgePath.from_word(root, PT))
+
+
+def _walks(seed, n, count):
+    rng = random.Random(seed)
+    letters = alphabet_letters(2)
+    out = []
+    while len(out) < count:
+        c = cyclic_reduce(Word(tuple(rng.choice(letters) for _ in range(n)), 2))
+        if len(c):
+            out.append(c)
+    return out
+
+
+def test_clique_bound_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    classes = list(cyclic_classes(8))
+    classes += [c for n in (40, 60, 80) for c in _walks(n, n, 8)]
+    for c in classes:
+        masks = _root_masks(c)[2]
+        graph = nx.Graph()
+        graph.add_nodes_from(range(len(masks)))
+        graph.add_edges_from((i, j) for i, m in enumerate(masks)
+                             for j in range(i) if m >> j & 1)
+        omega = max(len(q) for q in nx.find_cliques(graph))
+        assert clique_bound(masks, budget=10 ** 7) == omega, c
+        assert clique_bound(masks, cap=3) == min(omega, 3), c
+
+
+def test_tiny_clique_budget_keeps_degree(monkeypatch):
+    classes = list(cyclic_classes(6)) + _walks(34, 40, 10)
+    before = [simple_lifting_degree(c, PT, d_max=5) for c in classes]
+    monkeypatch.setattr(covers, "MAX_CLIQUE_NODES", 2)
+    weaker = 0
+    for c, full in zip(classes, before):
+        masks = _root_masks(c)[2]
+        assert clique_bound(masks) <= clique_bound(masks, budget=10 ** 7), c
+        res = simple_lifting_degree(c, PT, d_max=5)
+        assert res.lower_bound <= full.lower_bound, c
+        assert (res.degree, res.witness, res.elevation_index) == \
+            (full.degree, full.witness, full.elevation_index), c
+        weaker += res.lower_bound < full.lower_bound
+    assert weaker
+
+
+def _deepening_from_one(c, d_max):
+    """Degree, witness and elevation index of the first d >= 1 at which the
+    walk closes up embedded, with no lower bound."""
+    root, power, masks = _root_masks(c)
+    for d in range(1, d_max + 1):
+        fwd = _embedded_walk(root.letters, power, masks, 2, d)
+        if fwd is not None:
+            return d, PermRep(d, _complete(fwd, d)), 0
+    return None, None, None
+
+
+def test_clique_start_matches_deepening_from_one():
+    classes = list(cyclic_classes(7)) + _walks(35, 40, 40)
+    skipped = 0
+    for c in classes:
+        res = simple_lifting_degree(c, PT, d_max=5)
+        assert (res.degree, res.witness, res.elevation_index) == \
+            _deepening_from_one(c, 5), c
+        skipped += res.lower_bound > 1
+    assert skipped
+
+
+def test_clique_bound_past_d_max_is_not_found():
+    # six pairwise linked root positions: degree 6, found with no skipped walk
+    c = C("Baaaaaba")
+    res = simple_lifting_degree(c, PT, d_max=5)
+    assert not res.found and res.lower_bound == 6
+    res = simple_lifting_degree(c, PT, d_max=6)
+    assert res.degree == res.lower_bound == 6
+
+
+@pytest.mark.parametrize("d_max", [0, -2])
+def test_nonpositive_d_max_rejected(d_max):
+    with pytest.raises(CoverSearchError, match="d_max must be positive"):
+        simple_lifting_degree(C("abAB"), PT, d_max=d_max)
 
 
 def test_deep_walk_needs_no_recursion():

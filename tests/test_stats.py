@@ -504,6 +504,26 @@ def test_minimizer_experiment_skips_parabolic_walks():
     assert t.to_csv().startswith("n,samples,")
 
 
+def test_config_rejects_nonpositive_d_max(monkeypatch):
+    monkeypatch.setattr(stats, "_measure_one", None)  # no sample may run
+    for d_max in (0, -2):
+        with pytest.raises(ConfigError, match="d_max must be positive"):
+            run_experiment(ExperimentConfig(experiment="lifting", n_grid=(6,),
+                                            samples=2, d_max=d_max))
+
+
+def test_stats_import_leaves_process_pool_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, randcurve.stats\n"
+            "assert 'concurrent.futures' not in sys.modules")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 _HUGE_DEGREE_RUN = """
 import randcurve.covers as covers
 from randcurve.stats import ExperimentConfig, run_experiment
