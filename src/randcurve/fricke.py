@@ -14,7 +14,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .words import CyclicWord, Word, cyclic_classes, cyclic_reduce
+from .words import CyclicWord, Word, _classes_with_roots, cyclic_reduce
 
 MARKOV_TOL = 1e-9
 GRAD_TOL = 1e-6
@@ -335,8 +335,8 @@ def systole_proxy(p: FrickePoint, l_max: int) -> float:
     if l_max < 2:
         raise FrickeError("l_max must be at least 2")
     best = math.inf
-    for c in cyclic_classes(l_max, 2):
-        if c.primitive_root()[1] != 1:
+    for c, root_len in _classes_with_roots(l_max, 2):
+        if root_len != len(c):
             continue
         try:
             best = min(best, geodesic_length(c, p).length)

@@ -34,7 +34,7 @@ from .intersect import (EdgePath, _dart_text, check_quadratic_bound,
 from .ribbon import SURFACE_PRESETS, surface
 from .words import (BallSpec, CyclicWord, Word, WordError, _unchecked,
                     _validate_letters, alphabet_letters, check_conjugacy_bound,
-                    conjugates_in_ball, cyclic_classes, cyclic_reduce,
+                    _classes_with_roots, conjugates_in_ball, cyclic_reduce,
                     reduce_letters, sphere_size)
 
 
@@ -246,6 +246,9 @@ def drift_estimate(mu: WalkDistribution, n: int, samples: int, seed: int) -> Dri
 
 EXPERIMENTS = ("self-int", "fixed-curve-int", "lifting", "spiral", "minimizer",
                "conj-ball")
+# most conjugacy classes a conj-ball run may enumerate, bounded before it
+# starts by the number of cyclically reduced words up to max(n_grid)
+MAX_CONJ_BALL_CLASSES = 10**6
 
 
 @dataclass(frozen=True)
@@ -273,12 +276,19 @@ class ExperimentConfig:
             raise ConfigError(f"unknown surface {self.surface!r}")
         if not self.n_grid or any(n < 0 for n in self.n_grid):
             raise ConfigError("n_grid must be nonempty and nonnegative")
+        if len(set(self.n_grid)) != len(self.n_grid):
+            raise ConfigError(f"n_grid repeats a radius: {self.n_grid}")
         if self.samples < 1 or self.jobs < 1 or self.d_max < 1:
             raise ConfigError("samples, jobs and d_max must be positive")
         mu = self.distribution()
         if self.experiment == "lifting" and not mu.is_uniform:
             raise ConfigError("lifting-degree experiments require the uniform "
                               "distribution (equal weight on every generator)")
+        if self.experiment == "conj-ball" and _exceeds_class_budget(
+                self.rank, max(self.n_grid)):
+            raise ConfigError(f"conj-ball up to length {max(self.n_grid)} at "
+                              f"rank {self.rank} may enumerate more than "
+                              f"{MAX_CONJ_BALL_CLASSES} classes")
         # conj-ball enumerates words of the free group only: no surface
         surface_rank = surface(self.surface).rank
         if self.experiment != "conj-ball" and self.rank != surface_rank:
@@ -311,6 +321,17 @@ class ExperimentConfig:
         if self.probs is None:
             return WalkDistribution.uniform(self.rank)
         return WalkDistribution(self.rank, self.probs)
+
+
+def _exceeds_class_budget(rank: int, max_len: int) -> bool:
+    """Whether the cyclically reduced words of length 1..``max_len``, an
+    upper bound on the classes, number more than ``MAX_CONJ_BALL_CLASSES``.
+    There are (2r-1)^k + 1 + (r-1)(1 + (-1)^k) of length k; the running sum
+    stops once it passes the budget."""
+    terms = ((2 * rank - 1) ** k + 1 + (rank - 1) * (1 + (-1) ** k)
+             for k in range(1, max_len + 1))
+    return any(total > MAX_CONJ_BALL_CLASSES
+               for total in itertools.accumulate(terms))
 
 
 _FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
@@ -477,22 +498,35 @@ def _measure_one(payload):
 def _run_conj_ball(config: ExperimentConfig) -> ExperimentTable:
     """Exhaustive check of the conjugacy-ball bound over every class with
     ||c|| <= max word length in the grid and every radius n in the grid; a
-    class over the bound counts in ``violations`` and adds no slack."""
-    classes = list(cyclic_classes(max(config.n_grid), config.rank))
-    slacks = {}
-    violations = 0
-    for n in config.n_grid:
-        slacks[n] = []
-        for c in classes:
-            if len(c) > n:
+    class over the bound counts in ``violations`` and adds no slack.
+
+    The classes are streamed once.  Count and bound depend on a class only
+    through its length and primitive root length, so each (length, root
+    length, n) is counted and checked once, at its first class, and its
+    slack (None for a violation) is reused for the rest of its group."""
+    slacks = {n: [] for n in config.n_grid}
+    by_group = {}
+    violations = classes = 0
+    for c, root_len in _classes_with_roots(max(config.n_grid), config.rank):
+        classes += 1
+        length = len(c)
+        for n in config.n_grid:
+            if length > n:
                 continue
-            count = conjugates_in_ball(c, n)
-            try:
-                slacks[n].append(check_conjugacy_bound(c, n, count))
-            except AssertionError:
+            key = (length, root_len, n)
+            if key not in by_group:
+                count = conjugates_in_ball(c, n)
+                try:
+                    by_group[key] = check_conjugacy_bound(c, n, count)
+                except AssertionError:
+                    by_group[key] = None
+            slack = by_group[key]
+            if slack is None:
                 violations += 1
+            else:
+                slacks[n].append(slack)
     return _table(config, slacks, {"violations": violations,
-                                   "classes_checked": len(classes)})
+                                   "classes_checked": classes})
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentTable:

@@ -7,7 +7,9 @@ inverses, so ranks up to 26 are supported.
 Conjugacy classes are ``CyclicWord``s in least-rotation form.
 ``cyclic_classes`` lists every class up to a given length with the
 Fredricksen-Kessler-Maiorana necklace recursion, cut at any prefix holding a
-cancelling pair ``x, -x``, so only canonical representatives are ever built.
+cancelling pair ``x, -x``, so only canonical representatives are ever built;
+its generator ``_classes_with_roots`` also yields each class's primitive root
+length, the necklace's period, which the recursion already tracks.
 ``conjugates_in_ball`` counts a class's elements in a Cayley-graph ball in
 closed form, from the class's primitive root and the rank.
 """
@@ -256,15 +258,23 @@ def are_conjugate(u: Word | CyclicWord, v: Word | CyclicWord) -> bool:
 
 
 def cyclic_classes(max_len: int, rank: int = 2):
-    """Every nontrivial conjugacy class of length <= ``max_len``, once.
+    """Every nontrivial conjugacy class of length <= ``max_len``, once, in
+    (length, lexicographic) order: the classes of ``_classes_with_roots``."""
+    return (c for c, _ in _classes_with_roots(max_len, rank))
 
-    Yields canonical ``CyclicWord``s in (length, lexicographic) order.  For
-    each length n this is the Fredricksen-Kessler-Maiorana necklace
-    recursion over the sorted alphabet: a prefix a[1..t] with period p
-    extends by a[t-p] (period kept) or by any larger letter (period t), so
-    only prefixes of least rotations are visited.  Prefixes containing
-    ``x, -x`` are cut; a full prefix is a class when p divides n and its
-    last letter does not cancel its first.
+
+def _classes_with_roots(max_len: int, rank: int):
+    """Every nontrivial conjugacy class of length <= ``max_len``, once, with
+    the length of its primitive root.
+
+    Yields ``(c, R)`` for canonical ``CyclicWord``s c in (length,
+    lexicographic) order.  For each length n this is the
+    Fredricksen-Kessler-Maiorana necklace recursion over the sorted alphabet:
+    a prefix a[1..t] with period p extends by a[t-p] (period kept) or by any
+    larger letter (period t), so only prefixes of least rotations are
+    visited.  Prefixes containing ``x, -x`` are cut; a full prefix is a class
+    when p divides n and its last letter does not cancel its first, and then
+    a[1..p] is its Lyndon root, so R = p.
     """
     if not 1 <= rank <= MAX_RANK:
         raise WordError(f"rank must be in 1..{MAX_RANK}, got {rank}")
@@ -289,7 +299,8 @@ def cyclic_classes(max_len: int, rank: int = 2):
                 t += 1
                 a[t] = a[t - per[t - 1]] - 1
             elif n % per[n] == 0 and v != inv[a[1]]:
-                yield _unchecked(CyclicWord, tuple(letters[i] for i in a[1:]), rank)
+                yield (_unchecked(CyclicWord, tuple(letters[i] for i in a[1:]), rank),
+                       per[n])
 
 
 @dataclass(frozen=True)

@@ -188,6 +188,16 @@ def test_experiment_bad_config_fails_before_sampling(capsys, argv, message):
     assert captured.err.startswith("error:") and message in captured.err
 
 
+@pytest.mark.parametrize("family", ["self-int", "conj-ball"])
+def test_experiment_repeated_radius_rejected(capsys, family):
+    code = main(["experiment", "--family", family, "--n-grid", "4,4",
+                 "--samples", "5"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "repeats a radius" in captured.err
+
+
 def test_experiment_missing_required(capsys):
     code = main(["experiment", "--family", "self-int"])
     assert code == 2

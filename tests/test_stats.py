@@ -20,6 +20,7 @@ from randcurve.stats import (ConfigError, ExperimentConfig,
                              fit_power_law, random_walk, run_experiment,
                              sample_ball_uniform, sample_word)
 from randcurve.words import (BallSpec, CyclicWord, alphabet_letters, ball_size,
+                             check_conjugacy_bound, conjugates_in_ball,
                              cyclic_classes, cyclic_reduce, sphere_size)
 
 
@@ -453,6 +454,49 @@ def test_conj_ball_output_bytes_pinned(tmp_path, rank, grid, csv, meta_sha256,
     assert hashlib.sha256(meta).hexdigest() == meta_sha256
     assert t.metadata["classes_checked"] == classes
     assert t.metadata["violations"] == 0
+
+
+@pytest.mark.parametrize("rank, grid", [(2, (4, 6, 8, 10)), (3, (3, 5))])
+def test_conj_ball_grouped_table_matches_per_class(rank, grid):
+    # oracle: count and check every (class, n) on its own
+    cfg = ExperimentConfig(experiment="conj-ball", n_grid=grid, samples=1,
+                           rank=rank, retain_raw=True)
+    t = run_experiment(cfg)
+    classes = list(cyclic_classes(max(grid), rank))
+    for n in grid:
+        assert t.raw[n] == sorted(
+            check_conjugacy_bound(c, n, conjugates_in_ball(c, n))
+            for c in classes if len(c) <= n)
+    assert t.metadata["classes_checked"] == len(classes)
+
+
+def test_config_rejects_repeated_radius():
+    for family in ("self-int", "conj-ball"):
+        with pytest.raises(ConfigError, match="repeats a radius"):
+            ExperimentConfig(experiment=family, n_grid=(4, 6, 4), samples=5)
+    with pytest.raises(ConfigError, match="repeats a radius"):
+        ExperimentConfig.from_dict({"experiment": "self-int", "n_grid": "4,4",
+                                    "samples": "5"})
+
+
+def test_conj_ball_class_budget(monkeypatch):
+    def enumerate_nothing(*args):
+        raise AssertionError("a refused config enumerated classes")
+
+    monkeypatch.setattr(stats, "_classes_with_roots", enumerate_nothing)
+    for rank, n in ((26, 40), (2, 13), (2, 10**9), (1, 10**6)):
+        with pytest.raises(ConfigError, match="may enumerate more than"):
+            ExperimentConfig(experiment="conj-ball", n_grid=(4, n),
+                             samples=1, rank=rank)
+    ExperimentConfig(experiment="conj-ball", n_grid=(12,), samples=1)
+    # the bound is exactly the number of cyclically reduced words
+    for rank, max_len in ((2, 6), (2, 5), (3, 4), (3, 3), (1, 5)):
+        count = sum(1 for c in cyclic_classes(max_len, rank)
+                    for _ in set(c.rotations()))
+        monkeypatch.setattr(stats, "MAX_CONJ_BALL_CLASSES", count)
+        assert not stats._exceeds_class_budget(rank, max_len)
+        monkeypatch.setattr(stats, "MAX_CONJ_BALL_CLASSES", count - 1)
+        assert stats._exceeds_class_budget(rank, max_len)
 
 
 def test_conj_ball_raw_is_sorted():

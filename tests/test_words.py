@@ -6,10 +6,10 @@ import pytest
 from randcurve.intersect import EdgePath
 from randcurve.ribbon import punctured_torus
 from randcurve.words import (Alphabet, BallSpec, CyclicWord, Word, WordError,
-                             alphabet_letters, ball_size, are_conjugate,
-                             conjugates_in_ball, cyclic_classes, cyclic_reduce,
-                             letter_counts, least_rotation, reduce,
-                             satisfies_no_cancellation, sphere_size)
+                             _classes_with_roots, alphabet_letters, ball_size,
+                             are_conjugate, conjugates_in_ball, cyclic_classes,
+                             cyclic_reduce, letter_counts, least_rotation,
+                             reduce, satisfies_no_cancellation, sphere_size)
 
 
 def W(s, rank=2):
@@ -217,6 +217,14 @@ def test_cyclic_classes_vs_product_scan(max_len, rank):
     for w in got:
         assert least_rotation(w) == 0
         assert all(w[i] != -w[(i + 1) % len(w)] for i in range(len(w)))
+
+
+@pytest.mark.parametrize("max_len, rank", [(8, 2), (5, 3)])
+def test_classes_with_roots_match_primitive_root(max_len, rank):
+    pairs = list(_classes_with_roots(max_len, rank))
+    assert [c for c, _ in pairs] == list(cyclic_classes(max_len, rank))
+    for c, root_len in pairs:
+        assert root_len == len(c.primitive_root()[0]), c
 
 
 def test_cyclic_classes_edge_cases():
