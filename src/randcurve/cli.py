@@ -187,6 +187,8 @@ def _dispatch(args) -> int:
         print(spiraling(c, a, g))
         return 0
     if cmd == "count-subgroups":
+        if args.dmax < 1:
+            raise ValueError(f"d_max must be positive, got {args.dmax}")
         if args.free:
             for d in range(1, args.dmax + 1):
                 print(f"{d},{hall_count(args.rank, d)}")

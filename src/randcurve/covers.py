@@ -10,11 +10,11 @@ Groups*, ch. 5), and cuts a branch as soon as one sheet holds two linked
 positions of the root; the linked positions are the bitmasks of
 ``intersect.linked_masks``, computed once per curve.  Pairwise linked
 positions need distinct sheets, so the search starts at ω, the size of the
-largest such set found by ``clique_bound``, a bitmask branch and bound
-(Bron-Kerbosch, CACM 1973; Carraghan-Pardalos, Oper. Res. Lett. 1990)
-with a total node budget ``MAX_CLIQUE_NODES``.  The enumeration of
-transitive tuples it replaced is kept as the test oracle
-``_degree_by_enumeration``.
+largest such set.  The linked pairs are the overlapping pairs of the
+intervals between each passage's two ends, so the linked graph is a circle
+graph and ``clique_number`` finds ω exactly in polynomial time (Gavril,
+*Networks* 3, 1973).  The enumeration of transitive tuples the search
+replaced is kept as the test oracle ``_degree_by_enumeration``.
 
 ``hall_count`` evaluates Hall's recursion for the number of index-d
 subgroups of a free group; ``mednykh_count`` evaluates the character-sum
@@ -24,13 +24,14 @@ length formula.  Both are exact integer computations.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from math import factorial
 
-from .intersect import EdgePath, linked_masks
+from .intersect import EdgePath, linked_masks, linked_passages
 from .ribbon import (PermRep, RibbonGraph, perm_cycles, perm_inverse,
                      perm_orbit_count)
 from .words import CyclicWord, WordError
@@ -199,8 +200,8 @@ def subgroup_class_count(rank: int, d: int, closed_genus: int | None = None) -> 
 
 @dataclass(frozen=True)
 class DegreeSearchResult:
-    """``lower_bound`` is the certified bound the search started at: the
-    degree when found, else more than ``d_max``, is at least it."""
+    """``lower_bound`` is ω, the clique number of the root's linked graph and
+    the search's start: the degree, found or past ``d_max``, is at least it."""
     degree: int | None
     d_max: int
     witness: PermRep | None = None
@@ -212,39 +213,27 @@ class DegreeSearchResult:
         return self.degree is not None
 
 
-MAX_CLIQUE_NODES = 10 ** 5  # search nodes clique_bound visits in all
+def clique_number(lo, hi) -> int:
+    """Size ω of a largest set of pairwise overlapping intervals
+    ``(lo[i], hi[i])`` with distinct ends in 0..2L-1, in O(L^2 log L).
 
-
-def clique_bound(masks, cap: int) -> int:
-    """Size of a largest set of pairwise linked positions, the clique number
-    of the graph whose adjacency bitmasks are ``masks``; ``cap`` once a
-    clique of ``cap`` positions is found.
-
-    A branch and bound over bitmask candidate sets (Carraghan-Pardalos): a
-    clique grows by positions in decreasing order, the branch with the most
-    candidates first, and a branch is cut when its clique and candidates
-    together cannot beat the best clique so far.  After ``MAX_CLIQUE_NODES``
-    nodes the search stops with the largest clique found, still a lower
-    bound.
+    Fix the clique's leftmost interval i.  The other members start inside i
+    and end after it, no two nested: a longest increasing run of right ends
+    taken in left-end order (patience sorting).
     """
-    budget = MAX_CLIQUE_NODES
+    right = [-1] * (2 * len(lo))  # right[k]: right end of the interval starting at k
+    for l, h in zip(lo, hi):
+        right[l] = h
     best = 0
-    stack = [(0, (1 << len(masks)) - 1)]
-    while stack and budget > 0:
-        budget -= 1
-        size, cand = stack.pop()
-        if size > best:
-            best = size
-            if best == cap:
-                break
-        if size + cand.bit_count() <= best:
-            continue
-        below = 0  # the candidates already passed, lower than the next one
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            stack.append((size + 1, below & masks[low.bit_length() - 1]))
-            below |= low
+    for l, h in zip(lo, hi):
+        tails = []  # tails[m]: least right end of an increasing run of m + 1
+        for r in [r for r in right[l + 1:h] if r > h]:  # in left-end order
+            m = bisect_left(tails, r)
+            if m == len(tails):
+                tails.append(r)
+            else:
+                tails[m] = r
+        best = max(best, len(tails) + 1)
     return best
 
 
@@ -342,9 +331,9 @@ def simple_lifting_degree(gamma: CyclicWord, g: RibbonGraph,
 
     No sheet holds two linked positions, so pairwise linked positions lie
     on distinct sheets and the degree is at least the clique number of the
-    linked graph.  The search starts at that bound (``clique_bound``,
-    capped at ``d_max + 1``), and a bound past ``d_max`` ends it with no
-    walk.
+    linked graph.  The search starts at that bound (``clique_number``, read
+    off the intervals of ``intersect.linked_passages``), and a bound past
+    ``d_max`` ends it with no walk.
     """
     if d_max < 1:
         raise CoverSearchError(f"d_max must be positive, got {d_max}")
@@ -353,15 +342,15 @@ def simple_lifting_degree(gamma: CyclicWord, g: RibbonGraph,
     if g.vertex_count != 1:
         raise CoverSearchError("degree search expects a one-vertex spine")
     root, power = gamma.primitive_root()
-    masks = linked_masks(EdgePath.from_word(root, g))
-    start = max(1, clique_bound(masks, d_max + 1))
-    for d in range(start, d_max + 1):
+    lo, hi, masks = linked_passages(EdgePath.from_word(root, g))
+    omega = clique_number(lo, hi)
+    for d in range(omega, d_max + 1):
         fwd = _embedded_walk(root.letters, power, masks, g.rank, d)
         if fwd is not None:
             rep = PermRep(d, _complete(fwd, d))
             # elevations() lists the cycle through sheet 0 first
-            return DegreeSearchResult(d, d_max, rep, 0, start)
-    return DegreeSearchResult(None, d_max, lower_bound=start)
+            return DegreeSearchResult(d, d_max, rep, 0, omega)
+    return DegreeSearchResult(None, d_max, lower_bound=omega)
 
 
 def check_degree_bounds(degree: int | None, i: int, spiral: int) -> None:

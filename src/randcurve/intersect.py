@@ -4,10 +4,11 @@ Two strands passing through a vertex of the thickened graph cross exactly
 when their four ends interleave in the circular order that the fattening
 induces on the ends of the universal cover (a tree); this is the
 linked-pair criterion of Cohen-Lustig.  The kernel sorts the two ends of
-every vertex passage of a path once, by first dart and turn sequence, and
-reads every linked pair off that order as a bitmask per passage
-(``linked_masks``, kept for the last path, so a lifting sample's
-self-intersection and cover search share its root's masks).  Two crossing
+every vertex passage of a path once, by first dart and turn sequence; a
+passage owns the interval between its two ends, and two passages are linked
+when their intervals overlap.  The intervals and linked masks are kept for
+the last path (``linked_passages``), so a lifting sample's self-intersection
+and cover search share one sort of its root's ends.  Two crossing
 lines share a segment of one or more vertices; a linked pair counts only
 at the vertex where that segment starts, so each crossing is counted once
 with integers alone.  The self-intersection of a primitive path is half
@@ -266,9 +267,10 @@ def _sorted_ends(g: RibbonGraph, paths) -> list[int]:
     return [owner for _, _, owner in ends]
 
 
-def _linked_masks(g: RibbonGraph, paths) -> list[int]:
-    """Bit j of entry i is set when passages i and j are linked: exactly one
-    end of j lies strictly between the two ends of i."""
+def _passages(g: RibbonGraph, paths) -> tuple[list[int], list[int], list[int]]:
+    """Passage i owns the interval from ``lo[i]`` to ``hi[i]``, the places of
+    its ends in ``_sorted_ends``; bit j of ``masks[i]`` is set when passages
+    i and j are linked, that is, when their intervals overlap."""
     order = _sorted_ends(g, paths)
     lo = [-1] * (len(order) // 2)
     hi = lo[:]
@@ -281,16 +283,21 @@ def _linked_masks(g: RibbonGraph, paths) -> list[int]:
             hi[j] = k
         x ^= 1 << j
         prefix.append(x)
-    return [prefix[h] ^ prefix[l + 1] for l, h in zip(lo, hi)]
+    return lo, hi, [prefix[h] ^ prefix[l + 1] for l, h in zip(lo, hi)]
 
 
 @lru_cache(maxsize=1)
+def linked_passages(path: EdgePath) -> tuple[tuple[int, ...], ...]:
+    """``lo``, ``hi`` and ``masks`` of a primitive path's passages, kept for
+    the last path, because a lifting sample reads them for its
+    self-intersection and its cover search; tuples, since callers share them."""
+    return tuple(map(tuple, _passages(path.graph, [path.darts])))
+
+
 def linked_masks(path: EdgePath) -> tuple[int, ...]:
     """Per position of a primitive path, the bitmask of the positions whose
-    passages are linked with it.  Kept for the last path, because a lifting
-    sample reads its root's masks twice, to count its self-intersection and
-    to search its covers; a tuple, since every caller shares it."""
-    return tuple(_linked_masks(path.graph, [path.darts]))
+    passages are linked with it."""
+    return linked_passages(path)[2]
 
 
 def _ordered_crossings(g: RibbonGraph, paths, masks, sources,
@@ -362,7 +369,7 @@ def intersection(p: EdgePath, q: EdgePath) -> int:
     rv, m = q.primitive_root()
     nu, nv = len(ru), len(rv)
     paths = [ru.darts, rv.darts]
-    count = _ordered_crossings(p.graph, paths, _linked_masks(p.graph, paths),
+    count = _ordered_crossings(p.graph, paths, _passages(p.graph, paths)[2],
                                range(nu), ((1 << nv) - 1) << nu)
     return k * m * count
 

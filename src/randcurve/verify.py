@@ -192,12 +192,12 @@ def verify_covers(fast=True):
         res = simple_lifting_degree(c, pt, d_max=4)
         check_degree_bounds(res.degree, self_intersection(EdgePath.from_word(c, pt)),
                             _max_spiraling(c, 2, pt))
-        # the levels the search skipped hold no embedded elevation, so no
-        # degree lies below the clique bound
+        # the levels up to d_max that the search skipped hold no
+        # embedded elevation, so no degree lies below the clique bound
         root, power = c.primitive_root()
         masks = linked_masks(EdgePath.from_word(root, pt))
         if any(_embedded_walk(root.letters, power, masks, 2, d) is not None
-               for d in range(1, res.lower_bound)):
+               for d in range(1, min(res.lower_bound, res.d_max + 1))):
             return False, "clique bound skipped the degree"
         inv = simple_lifting_degree(c.inverse(), pt, d_max=4)
         if res.degree != inv.degree:

@@ -73,6 +73,14 @@ def test_count_subgroups_closed():
     assert out == "1,1\n2,15\n"
 
 
+@pytest.mark.parametrize("mode", ["--free", "--closed"])
+@pytest.mark.parametrize("dmax", ["0", "-1"])
+def test_count_subgroups_rejects_nonpositive_dmax(capsys, mode, dmax):
+    code, out = run_cli("count-subgroups", mode, "--dmax", dmax)
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == f"error: d_max must be positive, got {dmax}\n"
+
+
 def test_walk_and_ball():
     code, out = run_cli("walk", "--n", "0", "--seed", "1")
     assert code == 0 and out == "\n"

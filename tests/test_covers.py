@@ -3,16 +3,16 @@ import random
 
 import pytest
 
-import randcurve.covers as covers
 from randcurve.covers import (CoverSearchError, Partition, _complete,
                               _degree_by_enumeration, _embedded_walk,
-                              clique_bound, hall_count,
+                              clique_number, hall_count,
                               hook_degree, mednykh_count, partitions,
                               simple_lifting_degree, subgroup_class_count,
                               subgroup_count_by_enumeration,
                               count_transitive_reps, transitive_reps)
-from randcurve.intersect import EdgePath, linked_masks, self_intersection
-from randcurve.ribbon import PermRep, elevations, punctured_torus
+from randcurve.intersect import (EdgePath, linked_masks, linked_passages,
+                                 self_intersection)
+from randcurve.ribbon import PermRep, elevations, pair_of_pants, punctured_torus
 from randcurve.stats import _max_spiraling
 from randcurve.words import (CyclicWord, Word, alphabet_letters, cyclic_classes,
                              cyclic_reduce)
@@ -173,38 +173,42 @@ def _walks(seed, n, count):
     return out
 
 
-def test_clique_bound_matches_networkx(monkeypatch):
+def _clique_number_by_networkx(nx, masks):
+    graph = nx.Graph()
+    graph.add_nodes_from(range(len(masks)))
+    graph.add_edges_from((i, j) for i, m in enumerate(masks)
+                         for j in range(i) if m >> j & 1)
+    return max(len(q) for q in nx.find_cliques(graph))
+
+
+def test_clique_bound_matches_networkx():
     nx = pytest.importorskip("networkx")
-    monkeypatch.setattr(covers, "MAX_CLIQUE_NODES", 10 ** 7)
     classes = list(cyclic_classes(8))
-    classes += [c for n in (40, 60, 80) for c in _walks(n, n, 8)]
-    for c in classes:
-        masks = _root_masks(c)[2]
-        graph = nx.Graph()
-        graph.add_nodes_from(range(len(masks)))
-        graph.add_edges_from((i, j) for i, m in enumerate(masks)
-                             for j in range(i) if m >> j & 1)
-        omega = max(len(q) for q in nx.find_cliques(graph))
-        assert clique_bound(masks, len(masks)) == omega, c
-        assert clique_bound(masks, 3) == min(omega, 3), c
+    walks = [c for n in (40, 60, 80, 120) for c in _walks(n, n, 8)]
+    for g, cases in ((PT, classes + walks), (pair_of_pants(), classes)):
+        for c in cases:
+            lo, hi, masks = linked_passages(EdgePath.from_word(c.primitive_root()[0], g))
+            assert clique_number(lo, hi) == _clique_number_by_networkx(nx, masks), c
 
 
-def test_tiny_clique_budget_keeps_degree(monkeypatch):
-    classes = list(cyclic_classes(6)) + _walks(34, 40, 10)
-    before = [simple_lifting_degree(c, PT, d_max=5) for c in classes]
-    monkeypatch.setattr(covers, "MAX_CLIQUE_NODES", 10 ** 7)
-    omegas = [clique_bound(m, len(m)) for m in (_root_masks(c)[2] for c in classes)]
-    monkeypatch.setattr(covers, "MAX_CLIQUE_NODES", 2)
-    weaker = 0
-    for c, full, omega in zip(classes, before, omegas):
-        masks = _root_masks(c)[2]
-        assert clique_bound(masks, len(masks)) <= omega, c
-        res = simple_lifting_degree(c, PT, d_max=5)
-        assert res.lower_bound <= full.lower_bound, c
-        assert (res.degree, res.witness, res.elevation_index) == \
-            (full.degree, full.witness, full.elevation_index), c
-        weaker += res.lower_bound < full.lower_bound
-    assert weaker
+def test_clique_number_matches_networkx_on_random_intervals():
+    # a random order of 2m labelled ends, each label owning the interval
+    # between its two ends: overlap graphs short words do not reach
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(36)
+    for _ in range(200):
+        m = rng.randrange(1, 61)
+        ends = [j for j in range(m) for _ in range(2)]
+        rng.shuffle(ends)
+        lo, hi = [-1] * m, [-1] * m
+        for k, j in enumerate(ends):
+            if lo[j] < 0:
+                lo[j] = k
+            else:
+                hi[j] = k
+        masks = [sum(1 << j for j in range(m) if (l < lo[j] < h) != (l < hi[j] < h))
+                 for l, h in zip(lo, hi)]
+        assert clique_number(lo, hi) == _clique_number_by_networkx(nx, masks), ends
 
 
 def _deepening_from_one(c, d_max):
@@ -232,8 +236,9 @@ def test_clique_start_matches_deepening_from_one():
 def test_clique_bound_past_d_max_is_not_found():
     # six pairwise linked root positions: degree 6, found with no skipped walk
     c = C("Baaaaaba")
-    res = simple_lifting_degree(c, PT, d_max=5)
-    assert not res.found and res.lower_bound == 6
+    for d_max in (3, 5):
+        res = simple_lifting_degree(c, PT, d_max=d_max)
+        assert not res.found and res.lower_bound == 6
     res = simple_lifting_degree(c, PT, d_max=6)
     assert res.degree == res.lower_bound == 6
 
