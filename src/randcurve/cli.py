@@ -79,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("minimize", help="length-minimizing point of a curve")
     p.add_argument("--word", required=True)
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("walk", help="sample a random walk word")
     p.add_argument("--n", type=int, required=True)
@@ -110,7 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dmax", dest="d_max", metavar="DMAX", type=int, default=None)
     p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--alpha", default=None)
-    p.add_argument("--retain-raw", action="store_true", default=None)
     p.add_argument("--out", default=None, help="CSV path (stdout if omitted)")
 
     p = sub.add_parser("verify", help="run the module invariant suites")

@@ -316,7 +316,7 @@ def _complete(fwd, d: int) -> list[list[int]]:
 def simple_lifting_degree(gamma: CyclicWord, g: RibbonGraph,
                           d_max: int = 6) -> DegreeSearchResult:
     """Least degree of a connected cover in which ``gamma`` has an embedded
-    elevation, searching d = 1..d_max.
+    elevation, searching d = ω..d_max, ω the clique number below.
 
     For each d, a backtracking search walks the elevation of the primitive
     root from sheet 0 over partial permutations (see ``_embedded_walk``).

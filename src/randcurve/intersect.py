@@ -244,8 +244,6 @@ def _sorted_ends(g: RibbonGraph, paths) -> list[int]:
         for d in cyc:
             rank[d] = k
             k += 1
-    # a turn lies in 1..deg-1; fixed-width big-endian bytes keep its order
-    width = max(1, ((max(deg) - 1).bit_length() + 7) // 8)
     m = 2 * max(map(len, paths)) - 1
     ends = []
     first = 0
@@ -254,14 +252,13 @@ def _sorted_ends(g: RibbonGraph, paths) -> list[int]:
         back = tuple(pair[d] for d in reversed(darts))
         # the forward end at index i of ``back`` is the backward end B_{-i}
         for seq, sign in ((darts, 1), (back, -1)):
-            turns = [(pos[d] - pos[pair[q]]) % deg[d]
-                     for q, d in zip(seq[-1:] + seq[:-1], seq)]
-            enc = (bytes(turns) if width == 1 else
-                   b"".join(t.to_bytes(width, "big") for t in turns))
+            # a turn lies in 1..deg-1, one character each: strings compare
+            # by code point, so in the order of the turns
+            enc = "".join([chr((pos[d] - pos[pair[q]]) % deg[d])
+                           for q, d in zip(seq[-1:] + seq[:-1], seq)])
             enc *= m // n + 2
             for i, d in enumerate(seq):
-                ends.append((rank[d], enc[(i + 1) * width:(i + 1 + m) * width],
-                             first + sign * i % n))
+                ends.append((rank[d], enc[i + 1:i + 1 + m], first + sign * i % n))
         first += n
     ends.sort()
     return [owner for _, _, owner in ends]

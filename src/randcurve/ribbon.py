@@ -10,7 +10,7 @@ graph produces an oriented surface with boundary; faces are the cycles of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .words import CyclicWord, WordError, format_letters
 
@@ -309,7 +309,9 @@ SURFACE_PRESETS = {
 }
 
 
+@lru_cache(maxsize=None)
 def surface(name: str) -> RibbonGraph:
+    """The preset surface ``name``, built once per process."""
     try:
         return SURFACE_PRESETS[name]()
     except KeyError:

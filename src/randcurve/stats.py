@@ -187,16 +187,16 @@ def sample_word(rng: random.Random, sampler: str, rank: int, probs, n: int) -> W
     ``ball``: an exactly uniform element of the radius-n ball, its length k
     drawn with probability |S_k|/|B_n|; ``probs`` is ignored.
 
-    Raises ``ConfigError``, before any draw, for an unknown sampler, a
-    negative n, or walk ``probs`` that are not 2r finite nonnegative
-    numbers with a positive total.
+    Raises, before any draw, ``WordError`` for a rank outside 1..26 and
+    ``ConfigError`` for an unknown sampler, a negative n, or walk ``probs``
+    that are not 2r finite nonnegative numbers with a positive total.
     """
     if sampler not in ("walk", "ball"):
         raise ConfigError(f"sampler must be 'walk' or 'ball', got {sampler!r}")
     if n < 0:
         raise ConfigError(f"word length must be nonnegative, got {n}")
+    _validate_letters((), rank)
     if sampler == "walk":
-        _validate_letters((), rank)
         try:
             probs = tuple(map(float, probs))
         except (TypeError, ValueError):
@@ -421,19 +421,13 @@ def _max_spiraling(gamma: CyclicWord, rank: int, g) -> int:
                default=0)
 
 
-@functools.lru_cache(maxsize=None)
-def _surface(name: str):
-    """The preset surface ``name``, built once per process."""
-    return surface(name)
-
-
 @functools.lru_cache(maxsize=16)
 def _fixed_curve(alpha: str, rank: int, surface_name: str):
     """The path of ``alpha`` and the letters of its primitive root in both
     orientations, built once per process."""
     alpha_c = CyclicWord.from_string(alpha, rank)
     root = alpha_c.primitive_root()[0]
-    return (EdgePath.from_word(alpha_c, _surface(surface_name)),
+    return (EdgePath.from_word(alpha_c, surface(surface_name)),
             (root.letters, root.inverse().letters))
 
 
@@ -449,7 +443,7 @@ def _measure_one(payload):
     """
     config, probs, n, index = payload
     family = config.experiment
-    g = _surface(config.surface)
+    g = surface(config.surface)
     gamma = cyclic_reduce(_sample_word(config.sampler, config.rank, probs, n,
                                        config.seed, index))
     if len(gamma) == 0:
@@ -466,6 +460,7 @@ def _measure_one(payload):
         else:
             value = intersection(EdgePath.from_word(gamma, g), alpha_path)
     elif family == "lifting":
+        # imported per call: tests and the bench tracer rebind them on their modules
         from .covers import check_degree_bounds, simple_lifting_degree
 
         # both read the root's linked masks, computed once per sample

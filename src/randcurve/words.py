@@ -111,8 +111,7 @@ class Alphabet:
     rank: int
 
     def __post_init__(self):
-        if not 1 <= self.rank <= MAX_RANK:
-            raise WordError(f"rank must be in 1..{MAX_RANK}")
+        _validate_letters((), self.rank)
 
     @property
     def letters(self) -> tuple[int, ...]:
@@ -276,8 +275,7 @@ def _classes_with_roots(max_len: int, rank: int):
     when p divides n and its last letter does not cancel its first, and then
     a[1..p] is its Lyndon root, so R = p.
     """
-    if not 1 <= rank <= MAX_RANK:
-        raise WordError(f"rank must be in 1..{MAX_RANK}, got {rank}")
+    _validate_letters((), rank)
     letters = sorted(alphabet_letters(rank))
     k = len(letters)
     inv = [letters.index(-x) for x in letters]
@@ -311,8 +309,7 @@ class BallSpec:
     radius: int
 
     def __post_init__(self):
-        if not 1 <= self.rank <= MAX_RANK:
-            raise WordError("rank out of range")
+        _validate_letters((), self.rank)
         if self.radius < 0:
             raise WordError("radius must be nonnegative")
 

@@ -2,7 +2,10 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -92,7 +95,7 @@ def test_walk_and_ball():
 
 
 @pytest.mark.parametrize("cmd,rank", [("walk", 27), ("walk", 0), ("walk", -2),
-                                      ("drift", 0)])
+                                      ("drift", 0), ("ball", 27)])
 def test_walk_rank_out_of_range(capsys, cmd, rank):
     assert main([cmd, "--rank", str(rank), "--n", "5"]) == 1
     assert capsys.readouterr().err == f"error: rank must be in 1..26, got {rank}\n"
@@ -231,3 +234,29 @@ def test_verify_fast(capsys):
     assert len(err) == len(names)
     for line, name in zip(err, names):
         assert re.fullmatch(rf"time {name}: \d+\.\d\d s", line), line
+
+
+def test_verify_fast_without_numpy():
+    # the library imports no third-party package: numpy is blocked before
+    # randcurve loads, and every suite, fricke's holonomy included, passes
+    code = ("import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from randcurve.cli import main\n"
+            "raise SystemExit(main(['verify', '--fast']))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == VERIFY_LINES
+
+
+@pytest.mark.parametrize("argv", [
+    ["minimize", "--word", "ab", "--seed", "1"],
+    ["experiment", "--family", "self-int", "--n-grid", "8", "--samples", "2",
+     "--retain-raw"],
+])
+def test_removed_flags_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

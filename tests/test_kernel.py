@@ -19,8 +19,8 @@ from randcurve.intersect import (EdgePath, _backward_ray, _forward_ray,
                                  _linked, brute_min_crossings, intersection,
                                  linked_masks, primitive_self_count,
                                  self_intersection)
-from randcurve.ribbon import (PermRep, elevations, genus2_boundary1,
-                              pair_of_pants, punctured_torus)
+from randcurve.ribbon import (PermRep, RibbonGraph, elevations,
+                              genus2_boundary1, pair_of_pants, punctured_torus)
 from randcurve.words import CyclicWord, Word, alphabet_letters, cyclic_classes, \
     cyclic_reduce
 
@@ -102,6 +102,31 @@ def test_self_count_matches_oracle_on_higher_rank():
     for _ in range(25):
         p = random_primitive(rng, G2, 4, 4, 16)
         assert self_intersection(p) == primitive_self_count(p), p.darts
+
+
+def test_kernel_on_a_vertex_of_300_darts():
+    # turns above 255, and few letters so that ends agree for several darts
+    rng = random.Random(150)
+    order = list(alphabet_letters(150))
+    rng.shuffle(order)
+    g = RibbonGraph.rose(order, 150)
+    pos = g._pos_in_vertex
+    top = 0
+    checked = 0
+    while checked < 400:
+        pool = rng.sample(range(g.dart_count), 5)
+        base = [rng.choice(pool) for _ in range(rng.randrange(1, 9))]
+        if any(g.pair[x] == y for x, y in zip(base, base[1:] + base[:1])):
+            continue  # not a reduced closed path
+        p = EdgePath(g, tuple(base * rng.randrange(1, 4)))
+        checked += 1
+        root, k = p.primitive_root()
+        assert self_intersection(p) == \
+            k * k * primitive_self_count(root) + k - 1, p.darts
+        assert list(linked_masks(root)) == scalar_linked_masks(root), root.darts
+        top = max(top, *((pos[d] - pos[g.pair[q]]) % g.dart_count
+                         for q, d in zip(p.darts[-1:] + p.darts[:-1], p.darts)))
+    assert top > 255
 
 
 def test_self_count_matches_oracle_on_elevations():
