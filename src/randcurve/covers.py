@@ -14,7 +14,7 @@ largest such set.  The linked pairs are the overlapping pairs of the
 intervals between each passage's two ends, so the linked graph is a circle
 graph and ``clique_number`` finds ω exactly in polynomial time (Gavril,
 *Networks* 3, 1973).  The enumeration of transitive tuples the search
-replaced is kept as the test oracle ``_degree_by_enumeration``.
+replaced is the oracle ``_degree_by_enumeration`` in ``tests/test_covers.py``.
 
 ``hall_count`` evaluates Hall's recursion for the number of index-d
 subgroups of a free group; ``mednykh_count`` evaluates the character-sum
@@ -31,9 +31,8 @@ from functools import lru_cache
 from itertools import permutations, product
 from math import factorial
 
-from .intersect import EdgePath, linked_masks, linked_passages
-from .ribbon import (PermRep, RibbonGraph, perm_cycles, perm_inverse,
-                     perm_orbit_count)
+from .intersect import EdgePath, linked_passages
+from .ribbon import PermRep, RibbonGraph, perm_inverse, perm_orbit_count
 from .words import CyclicWord, WordError
 
 
@@ -365,78 +364,3 @@ def check_degree_bounds(degree: int | None, i: int, spiral: int) -> None:
         raise AssertionError("spiraling lower bound violated")
     if (degree == 1) != (i == 0):
         raise AssertionError("degree-1 iff simple failed")
-
-
-# --- test oracle: enumeration of transitive tuples ---------------------------
-
-def _cycle_type_reps(d: int):
-    """One permutation per conjugacy class of S_d (cycle type)."""
-    for lam in partitions(d):
-        p = []
-        start = 0
-        for part in lam.parts:
-            p.extend(list(range(start + 1, start + part)) + [start])
-            start += part
-        yield tuple(p)
-
-
-def _simple_elevation_sheet(rep: PermRep, letters, power, masks) -> int | None:
-    """Sheet starting an embedded elevation of root^power, else None.
-
-    An elevation of the power is an honest embedded circle exactly when the
-    root-permutation cycle length is divisible by the power and the lifted
-    root-curve is embedded.  Root-elevation positions landing on a common
-    sheet cross exactly when their base residues are a linked pair, so no
-    cover is ever built.
-    """
-    L = len(letters)
-    steps = [rep.perm(x) for x in letters]
-    for cyc in perm_cycles(rep.perm_of(letters)):
-        if len(cyc) % power != 0:
-            continue
-        held = [0] * rep.degree  # bitmask of the root positions on each sheet
-        s = cyc[0]
-        for k in range(len(cyc) * L):
-            i = k % L
-            if held[s] & masks[i]:
-                break
-            held[s] |= 1 << i
-            s = steps[i][s]
-        else:
-            return cyc[0]
-    return None
-
-
-def _degree_by_enumeration(gamma: CyclicWord, g: RibbonGraph, d_max: int,
-                           exhaustive: bool = False) -> DegreeSearchResult:
-    """Test oracle for ``simple_lifting_degree``: every transitive tuple of
-    each degree d = 1..d_max, every cycle of the root permutation.
-
-    The first generator is fixed to one representative per cycle type
-    (valid for the existence question, since simultaneous conjugation acts
-    on covers by isomorphism); ``exhaustive=True`` disables that reduction.
-    """
-    if len(gamma) == 0:
-        raise WordError("trivial curve")
-    if g.vertex_count != 1:
-        raise CoverSearchError("degree search expects a one-vertex spine")
-    root, power = gamma.primitive_root()
-    letters = root.letters
-    masks = linked_masks(EdgePath.from_word(root, g))
-    rank = g.rank
-    for d in range(1, d_max + 1):
-        perms = list(permutations(range(d)))
-        first = perms if exhaustive else list(_cycle_type_reps(d))
-        for p0 in first:
-            for rest in product(perms, repeat=rank - 1):
-                tup = (p0,) + rest
-                if perm_orbit_count(d, tup) != 1:
-                    continue
-                rep = PermRep(d, tup)
-                sheet = _simple_elevation_sheet(rep, letters, power, masks)
-                if sheet is not None:
-                    gamma_perm = rep.perm_of(gamma.letters)
-                    idx = next(i for i, cyc in enumerate(perm_cycles(gamma_perm))
-                               if sheet in cyc)
-                    return DegreeSearchResult(d, d_max, rep, idx)
-    return DegreeSearchResult(None, d_max)

@@ -1,11 +1,12 @@
 """Hyperbolic geometry of the once-punctured torus in trace coordinates.
 
 A point is a trace triple (x, y, z) = (tr A, tr B, tr AB) on the cubic
-x^2 + y^2 + z^2 = xyz with x, y, z > 2; such triples parametrize the
+x^2 + y^2 + z^2 = xyz with finite x, y, z > 2; such triples parametrize the
 complete finite-area hyperbolic structures, the commutator trace is forced
 to be -2 (cusp).  Geodesic lengths come from traces via
 len = 2*arccosh(|tr|/2); length minimization runs projected gradient
-descent directly on the cubic.
+descent directly on the cubic.  Words are over a and b only, so the
+``minimizer`` experiment family runs on the punctured-torus preset alone.
 """
 
 from __future__ import annotations
@@ -45,8 +46,9 @@ class FrickePoint:
     z: float
 
     def __post_init__(self):
-        if min(self.x, self.y, self.z) <= 2.0:
-            raise FrickeError("traces must exceed 2 on the cusped locus")
+        if not all(2.0 < t < math.inf for t in (self.x, self.y, self.z)):
+            raise FrickeError("traces must be finite and exceed 2 on the "
+                              "cusped locus")
         if abs(markov_residual(self.x, self.y, self.z)) > MARKOV_TOL:
             raise FrickeError(
                 f"Markov residual {markov_residual(self.x, self.y, self.z):.3e} "

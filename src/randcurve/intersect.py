@@ -21,9 +21,10 @@ darts along the axis of a simple core, whose root has c darts, and leaves
 the axis on one side at both ends crosses s // c of its core translates,
 or one fewer when c divides s and, at the vertex where the last translate's
 backward end and its own forward end leave the axis, its own comes first.
-The core is checked for simplicity once per (core, graph), and a sample's
-darts, their text and its primitive root are built once per (curve, graph)
-and read by its spiraling around every core.  The runs are
+The core is checked for simplicity once per (core, graph), and its darts
+are read off the path that check builds; a sample's darts, their text and
+its primitive root are built once per (curve, graph) and read by its
+spiraling around every core.  The runs are
 found by a compiled regular expression over the darts as characters, one
 per core orientation and phase: the next run start whose run holds more
 roots than the best score so far, so only runs that can raise the score
@@ -48,7 +49,7 @@ from itertools import permutations, product
 from math import factorial, prod
 
 from .ribbon import RibbonError, RibbonGraph
-from .words import (CyclicWord, Word, WordError, _proper_divisors, cyclic_reduce,
+from .words import (CyclicWord, Word, WordError, _period, cyclic_reduce,
                     least_rotation)
 
 
@@ -90,12 +91,10 @@ class EdgePath:
         return len(self.darts)
 
     def primitive_root(self) -> tuple["EdgePath", int]:
-        d = self.darts
-        n = len(d)
-        for p in _proper_divisors(n):
-            if d == d[:p] * (n // p):
-                return EdgePath(self.graph, d[:p]), n // p
-        return self, 1
+        p = _period(self.darts)
+        if p == len(self.darts):
+            return self, 1
+        return EdgePath(self.graph, self.darts[:p]), len(self.darts) // p
 
     def inverse(self) -> "EdgePath":
         g = self.graph
@@ -445,14 +444,16 @@ def brute_min_crossings(paths) -> int:
 @lru_cache(maxsize=64)
 def _simple_core(alpha: CyclicWord, g: RibbonGraph):
     """The darts of the primitive root of the simple core ``alpha``, and its
-    letters, each in both orientations.  Raises ``IntersectionError`` when
-    the core is not simple; an error is not cached, so it raises again on
-    every call."""
-    if self_intersection(EdgePath.from_word(alpha, g)) != 0:
+    letters, each in both orientations; the darts are read off the path
+    whose simplicity is checked.  Raises ``IntersectionError`` when the core
+    is not simple; an error is not cached, so it raises again on every
+    call."""
+    path = EdgePath.from_word(alpha, g)
+    if self_intersection(path) != 0:
         raise IntersectionError("spiraling core must be simple")
+    core = path.primitive_root()[0]
     root = alpha.primitive_root()[0]
-    darts = tuple(g.dart_for_letter(x) for x in root.letters)
-    return ((darts, tuple(g.pair[x] for x in reversed(darts))),
+    return ((core.darts, core.inverse().darts),
             (root.letters, root.inverse().letters))
 
 

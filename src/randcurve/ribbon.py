@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .words import CyclicWord, WordError, format_letters
+from .words import CyclicWord, WordError, format_letters, parse_letters
 
 
 class RibbonError(ValueError):
@@ -219,29 +219,21 @@ class RibbonGraph:
         return 1 if a < b else -1
 
     @classmethod
-    def rose(cls, order, rank: int | None = None) -> "RibbonGraph":
+    def rose(cls, order) -> "RibbonGraph":
         """One-vertex graph whose darts appear in the given cyclic order.
 
         ``order`` is a sequence of signed letters (or a string like "abAB")
-        in which every letter of the alphabet appears exactly once.
+        in which every letter of the alphabet appears exactly once; its rank
+        is the largest generator in ``order``.
         """
-        if isinstance(order, str):
-            from .words import parse_letters
-
-            order = parse_letters(order)
-        order = tuple(order)
-        if rank is None:
-            rank = max(abs(x) for x in order)
-        expected = sorted(range(-rank, rank + 1))
-        expected.remove(0)
-        if sorted(order) != expected:
+        order = tuple(parse_letters(order) if isinstance(order, str) else order)
+        rank = max(abs(x) for x in order)
+        if sorted(order) != [x for x in range(-rank, rank + 1) if x]:
             raise RibbonError("rose order must list every letter exactly once")
-        nxt = [0] * len(order)
-        for i in range(len(order)):
-            nxt[i] = (i + 1) % len(order)
+        n = len(order)
         pos = {x: i for i, x in enumerate(order)}
-        pair = [pos[-order[i]] for i in range(len(order))]
-        return cls(nxt, pair, order, rank)
+        return cls([(i + 1) % n for i in range(n)], [pos[-x] for x in order],
+                   order, rank)
 
     def to_text(self) -> str:
         lines = []
@@ -260,23 +252,34 @@ class RibbonGraph:
 
     @classmethod
     def from_text(cls, text: str) -> "RibbonGraph":
+        """The graph of ``to_text``'s lines; ``RibbonError`` names a line it
+        cannot read."""
         vertex_lines = []
         edges = []
+        darts_of_line = []
         for line in text.splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split()
-            if parts[0] == "vertex":
-                vertex_lines.append([int(t) for t in parts[1:]])
-            elif parts[0] == "edge":
-                from .words import parse_letters
-
-                (x,) = parse_letters(parts[3])
-                edges.append((int(parts[1]), int(parts[2]), x))
-            else:
+            kind, *fields = line.split()
+            if kind not in ("vertex", "edge"):
                 raise RibbonError(f"unrecognized line {line!r}")
+            try:
+                if kind == "vertex":
+                    darts = [int(t) for t in fields]
+                    vertex_lines.append(darts)
+                else:
+                    d, e, letter = fields
+                    (x,) = parse_letters(letter)
+                    darts = [int(d), int(e)]
+                    edges.append((*darts, x))
+            except ValueError:  # the field count, a dart or the label
+                raise RibbonError(f"malformed line {line!r}") from None
+            darts_of_line.append((darts, line))
         n = sum(len(v) for v in vertex_lines)
+        for darts, line in darts_of_line:
+            if not all(0 <= d < n for d in darts):
+                raise RibbonError(f"dart outside 0..{n - 1} in line {line!r}")
         nxt = [0] * n
         for cyc in vertex_lines:
             for i, d in enumerate(cyc):

@@ -29,8 +29,8 @@ from collections import Counter
 from dataclasses import dataclass, field, asdict
 
 from . import __version__
-from .intersect import (EdgePath, _dart_text, check_quadratic_bound,
-                        intersection, self_intersection, spiraling)
+from .intersect import (EdgePath, check_quadratic_bound, intersection,
+                        self_intersection, spiraling)
 from .ribbon import SURFACE_PRESETS, surface
 from .words import (BallSpec, CyclicWord, Word, WordError, _unchecked,
                     _validate_letters, alphabet_letters, check_conjugacy_bound,
@@ -51,20 +51,20 @@ def _rng(master_seed: int, *index) -> random.Random:
 @dataclass(frozen=True)
 class WalkDistribution:
     """Step distribution on the symmetric alphabet; probabilities follow
-    the letter order (1..r, -1..-r)."""
+    the letter order (1..r, -1..-r), pass the walk draw's checks, sum to 1
+    and give every generator weight."""
 
     rank: int
     probs: tuple[float, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
-        if len(self.probs) != 2 * self.rank:
-            raise ConfigError("need one probability per letter")
-        if any(p < 0 for p in self.probs) or abs(sum(self.probs) - 1.0) > 1e-12:
-            raise ConfigError("probabilities must be nonnegative and sum to 1")
-        letters = alphabet_letters(self.rank)
-        for i in range(1, self.rank + 1):
-            if self.probs[letters.index(i)] == 0 and self.probs[letters.index(-i)] == 0:
+        _validate_letters((), self.rank)
+        _walk_draw_table(self.rank, self.probs)
+        if abs(sum(self.probs) - 1.0) > 1e-12:
+            raise ConfigError("probabilities must sum to 1")
+        for i, (p, q) in enumerate(zip(self.probs, self.probs[self.rank:]), 1):
+            if p == q == 0:
                 raise ConfigError("support must generate: generator "
                                   f"{i} has zero weight in both directions")
 
@@ -274,6 +274,9 @@ class ExperimentConfig:
             raise ConfigError("sampler must be 'walk' or 'ball'")
         if self.surface not in SURFACE_PRESETS:
             raise ConfigError(f"unknown surface {self.surface!r}")
+        if self.experiment == "minimizer" and self.surface != "punctured-torus":
+            raise ConfigError("the minimizer's trace coordinates model the "
+                              f"punctured torus only, not {self.surface!r}")
         if not self.n_grid or any(n < 0 for n in self.n_grid):
             raise ConfigError("n_grid must be nonempty and nonnegative")
         if len(set(self.n_grid)) != len(self.n_grid):
@@ -412,13 +415,14 @@ def _sample_word(cfg_sampler, rank, probs, n, seed, index) -> Word:
     return sample_word(_rng(seed, cfg_sampler, n, index), cfg_sampler, rank, probs, n)
 
 
-def _max_spiraling(gamma: CyclicWord, rank: int, g) -> int:
+def _max_spiraling(gamma: CyclicWord, g) -> int:
     """Largest spiraling of ``gamma`` around a generator other than its own
-    primitive root (0 if there is none)."""
-    root = _dart_text(gamma, g)[2]
-    return max((spiraling(gamma, CyclicWord((j,), rank), g)
-                for j in range(1, rank + 1) if root not in ((j,), (-j,))),
-               default=0)
+    primitive root (0 if there is none).  A cyclically reduced class is a
+    power of generator j exactly when its letters are all j or all -j."""
+    letters = set(gamma.letters)
+    own = abs(letters.pop()) if len(letters) == 1 else 0
+    return max((spiraling(gamma, CyclicWord((j,), g.rank), g)
+                for j in range(1, g.rank + 1) if j != own), default=0)
 
 
 @functools.lru_cache(maxsize=16)
@@ -467,11 +471,10 @@ def _measure_one(payload):
         i = self_intersection(EdgePath.from_word(gamma, g))
         res = simple_lifting_degree(gamma, g, d_max=config.d_max)
         if res.found:  # a not-found degree has no bounds to check
-            check_degree_bounds(res.degree, i,
-                                _max_spiraling(gamma, config.rank, g))
+            check_degree_bounds(res.degree, i, _max_spiraling(gamma, g))
         outcome, value = ("found" if res.found else "not_found"), res.degree
     elif family == "spiral":
-        value = _max_spiraling(gamma, config.rank, g)
+        value = _max_spiraling(gamma, g)
     else:
         from .fricke import (GRAD_TOL, ParabolicWordError, distance_proxy,
                              minimize_length, rose_minimizer)

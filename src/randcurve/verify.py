@@ -16,8 +16,9 @@ import time
 from .covers import (_embedded_walk, check_degree_bounds, hall_count,
                      hook_degree, mednykh_count, partitions,
                      simple_lifting_degree, subgroup_count_by_enumeration)
-from .fricke import (FrickePoint, collar_width, distance_proxy, geodesic_length,
-                     holonomy, minimize_length, rose_minimizer)
+from .fricke import (FrickePoint, ParabolicWordError, collar_width,
+                     distance_proxy, geodesic_length, holonomy, minimize_length,
+                     rose_minimizer)
 from .intersect import (EdgePath, brute_min_crossings, check_invariance,
                         check_quadratic_bound, intersection, linked_masks,
                         self_intersection)
@@ -84,7 +85,7 @@ def verify_ribbon(fast=True):
     sig = signature(pp)
     if (sig.genus, sig.boundary_count) != (0, 3):
         return False, "pair of pants signature wrong"
-    ann = RibbonGraph.rose((1, -1), 1)
+    ann = RibbonGraph.rose((1, -1))
     sig = signature(ann)
     if (sig.genus, sig.boundary_count) != (0, 2):
         return False, "annulus signature wrong"
@@ -191,7 +192,7 @@ def verify_covers(fast=True):
             continue
         res = simple_lifting_degree(c, pt, d_max=4)
         check_degree_bounds(res.degree, self_intersection(EdgePath.from_word(c, pt)),
-                            _max_spiraling(c, 2, pt))
+                            _max_spiraling(c, pt))
         # the levels up to d_max that the search skipped hold no
         # embedded elevation, so no degree lies below the clique bound
         root, power = c.primitive_root()
@@ -245,7 +246,7 @@ def verify_fricke(fast=True):
             u = uniform_reduced_word(rng, 2, 3)
             l1 = geodesic_length(u.concat(w).concat(u.inverse()), p).length
             l2 = geodesic_length(c.inverse(), p).length
-        except Exception:
+        except ParabolicWordError:
             continue
         if abs(l0 - l1) > 1e-9 or abs(l0 - l2) > 1e-9:
             return False, "length not conjugation/inversion invariant"

@@ -4,7 +4,8 @@ Letters are nonzero signed integers: generator ``i`` is ``+i``, its inverse
 is ``-i``.  The string form uses ``a..z`` for generators and ``A..Z`` for
 inverses, so ranks up to 26 are supported.
 
-Conjugacy classes are ``CyclicWord``s in least-rotation form.
+Conjugacy classes are ``CyclicWord``s in least-rotation form.  Their
+primitive roots, and those of edge paths, come from one period search.
 ``cyclic_classes`` lists every class up to a given length with the
 Fredricksen-Kessler-Maiorana necklace recursion, cut at any prefix holding a
 cancelling pair ``x, -x``, so only canonical representatives are ever built;
@@ -98,10 +99,13 @@ def least_rotation(seq: tuple) -> int:
     return min(i, j)
 
 
-def _proper_divisors(n: int) -> tuple[int, ...]:
-    """The divisors of ``n`` below ``n``, ascending."""
+def _period(seq) -> int:
+    """Primitive root length of a nonempty cyclic sequence: its least period
+    p that divides its length n, so that seq == seq[:p] * (n // p)."""
+    n = len(seq)
     small = [p for p in range(1, isqrt(n) + 1) if n % p == 0]
-    return tuple(small + [n // p for p in reversed(small) if p * p != n])[:-1]
+    large = [n // p for p in reversed(small) if p * p != n]
+    return next(p for p in small + large if seq == seq[:p] * (n // p))
 
 
 @dataclass(frozen=True)
@@ -201,15 +205,13 @@ class CyclicWord:
 
     def primitive_root(self) -> tuple["CyclicWord", int]:
         """Shortest ``u`` with ``self = u^k`` (as cyclic words), plus ``k``."""
-        w = self.letters
-        n = len(w)
-        if n == 0:
+        if not self.letters:
             raise WordError("trivial cyclic word has no primitive root")
-        for p in _proper_divisors(n):
-            if w == w[:p] * (n // p):
-                # a period of a least rotation is itself a least rotation
-                return _unchecked(CyclicWord, w[:p], self.rank), n // p
-        return self, 1
+        p = _period(self.letters)
+        if p == len(self):
+            return self, 1
+        # a period of a least rotation is itself a least rotation
+        return _unchecked(CyclicWord, self.letters[:p], self.rank), len(self) // p
 
 
 def _unchecked(cls, letters: tuple[int, ...], rank: int):

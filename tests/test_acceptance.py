@@ -105,7 +105,7 @@ def _degree_subsample():
             continue
         i = self_intersection(EdgePath.from_word(c, PT))
         res = simple_lifting_degree(c, PT, d_max=6)
-        out.append((n, i, res.degree, _max_spiraling(c, 2, PT)))
+        out.append((n, i, res.degree, _max_spiraling(c, PT)))
     _DEG_SAMPLES.extend(out)
     return out
 

@@ -46,7 +46,7 @@ def test_invariance_holds(c, g, shift):
 def test_degree_bounds_hold(c):
     res = simple_lifting_degree(c, PT, d_max=4)
     check_degree_bounds(res.degree, self_intersection(EdgePath.from_word(c, PT)),
-                        _max_spiraling(c, 2, PT))
+                        _max_spiraling(c, PT))
 
 
 @SETTINGS

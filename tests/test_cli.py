@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from randcurve.cli import main
+from randcurve.stats import (WalkDistribution, drift_estimate, random_walk,
+                             sample_ball_uniform)
 
 
 def run_cli(*argv):
@@ -92,6 +94,18 @@ def test_walk_and_ball():
     assert code1 == code2 == 0 and out1 == out2 and len(out1.strip()) == 12
     code, out = run_cli("ball", "--n", "5", "--seed", "3")
     assert code == 0 and len(out.strip()) <= 5
+
+
+def test_draw_commands_read_seed_and_rank():
+    mu3 = WalkDistribution.uniform(3)
+    assert run_cli("walk", "--n", "12", "--seed", "7", "--rank", "3") == (
+        0, f"{random_walk(mu3, 12, 7)}\n")
+    assert run_cli("ball", "--rank", "3", "--seed", "4", "--n", "5") == (
+        0, f"{sample_ball_uniform(3, 5, 4)}\n")
+    est = drift_estimate(mu3, 30, 6, 2)
+    assert run_cli("drift", "--n", "30", "--samples", "6", "--seed", "2",
+                   "--rank", "3") == (0, f"{est.mean!r},{est.stderr!r},"
+                                         f"{est.ci95[0]!r},{est.ci95[1]!r}\n")
 
 
 @pytest.mark.parametrize("cmd,rank", [("walk", 27), ("walk", 0), ("walk", -2),
@@ -190,6 +204,10 @@ def test_experiment_unknown_config_key(tmp_path, capsys):
     (("--family", "fixed-curve-int", "--alpha", "xyz"), "alpha 'xyz'"),
     (("--family", "fixed-curve-int", "--alpha", "aA"), "trivial class"),
     (("--family", "lifting", "--dmax", "0"), "d_max must be positive"),
+    (("--family", "minimizer", "--surface", "pair-of-pants"),
+     "punctured torus only"),
+    (("--family", "minimizer", "--surface", "genus2-boundary1", "--rank", "4"),
+     "punctured torus only"),
 ])
 def test_experiment_bad_config_fails_before_sampling(capsys, argv, message):
     code = main(["experiment", *argv, "--n-grid", "6", "--samples", "2"])

@@ -1,10 +1,11 @@
 import math
 import random
+from itertools import permutations, product
 
 import pytest
 
-from randcurve.covers import (CoverSearchError, Partition, _complete,
-                              _degree_by_enumeration, _embedded_walk,
+from randcurve.covers import (CoverSearchError, DegreeSearchResult, Partition,
+                              _complete, _embedded_walk,
                               clique_number, hall_count,
                               hook_degree, mednykh_count, partitions,
                               simple_lifting_degree, subgroup_class_count,
@@ -12,16 +13,91 @@ from randcurve.covers import (CoverSearchError, Partition, _complete,
                               count_transitive_reps, transitive_reps)
 from randcurve.intersect import (EdgePath, linked_masks, linked_passages,
                                  self_intersection)
-from randcurve.ribbon import PermRep, elevations, pair_of_pants, punctured_torus
+from randcurve.ribbon import (PermRep, elevations, pair_of_pants, perm_cycles,
+                              perm_orbit_count, punctured_torus)
 from randcurve.stats import _max_spiraling
-from randcurve.words import (CyclicWord, Word, alphabet_letters, cyclic_classes,
-                             cyclic_reduce)
+from randcurve.words import (CyclicWord, Word, WordError, alphabet_letters,
+                             cyclic_classes, cyclic_reduce)
 
 PT = punctured_torus()
 
 
 def C(s):
     return CyclicWord.from_string(s, 2)
+
+
+# --- oracle for simple_lifting_degree: enumeration of transitive tuples -----
+
+def _cycle_type_reps(d):
+    """One permutation per conjugacy class of S_d (cycle type)."""
+    for lam in partitions(d):
+        p = []
+        start = 0
+        for part in lam.parts:
+            p.extend(list(range(start + 1, start + part)) + [start])
+            start += part
+        yield tuple(p)
+
+
+def _simple_elevation_sheet(rep, letters, power, masks):
+    """Sheet starting an embedded elevation of root^power, else None.
+
+    An elevation of the power is an honest embedded circle exactly when the
+    root-permutation cycle length is divisible by the power and the lifted
+    root-curve is embedded.  Root-elevation positions landing on a common
+    sheet cross exactly when their base residues are a linked pair, so no
+    cover is ever built.
+    """
+    L = len(letters)
+    steps = [rep.perm(x) for x in letters]
+    for cyc in perm_cycles(rep.perm_of(letters)):
+        if len(cyc) % power != 0:
+            continue
+        held = [0] * rep.degree  # bitmask of the root positions on each sheet
+        s = cyc[0]
+        for k in range(len(cyc) * L):
+            i = k % L
+            if held[s] & masks[i]:
+                break
+            held[s] |= 1 << i
+            s = steps[i][s]
+        else:
+            return cyc[0]
+    return None
+
+
+def _degree_by_enumeration(gamma, g, d_max, exhaustive=False):
+    """Test oracle for ``simple_lifting_degree``: every transitive tuple of
+    each degree d = 1..d_max, every cycle of the root permutation.
+
+    The first generator is fixed to one representative per cycle type
+    (valid for the existence question, since simultaneous conjugation acts
+    on covers by isomorphism); ``exhaustive=True`` disables that reduction.
+    """
+    if len(gamma) == 0:
+        raise WordError("trivial curve")
+    if g.vertex_count != 1:
+        raise CoverSearchError("degree search expects a one-vertex spine")
+    root, power = gamma.primitive_root()
+    letters = root.letters
+    masks = linked_masks(EdgePath.from_word(root, g))
+    rank = g.rank
+    for d in range(1, d_max + 1):
+        perms = list(permutations(range(d)))
+        first = perms if exhaustive else list(_cycle_type_reps(d))
+        for p0 in first:
+            for rest in product(perms, repeat=rank - 1):
+                tup = (p0,) + rest
+                if perm_orbit_count(d, tup) != 1:
+                    continue
+                rep = PermRep(d, tup)
+                sheet = _simple_elevation_sheet(rep, letters, power, masks)
+                if sheet is not None:
+                    gamma_perm = rep.perm_of(gamma.letters)
+                    idx = next(i for i, cyc in enumerate(perm_cycles(gamma_perm))
+                               if sheet in cyc)
+                    return DegreeSearchResult(d, d_max, rep, idx)
+    return DegreeSearchResult(None, d_max)
 
 
 def test_partitions():
@@ -281,7 +357,7 @@ def test_degree_bounds():
     for w, deg in DEGREES.items():
         i = self_intersection(EdgePath.from_word(C(w), PT))
         assert deg <= 5 * i + 5
-        assert deg >= _max_spiraling(C(w), 2, PT)
+        assert deg >= _max_spiraling(C(w), PT)
 
 
 def test_not_found_result():

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from randcurve import fricke
+from randcurve import fricke, verify
 from randcurve.fricke import (FrickeError, FrickePoint, ParabolicWordError,
                               collar_width, distance_proxy, geodesic_length,
                               holonomy, markov_residual, minimize_curve_system,
@@ -24,6 +24,14 @@ def test_fricke_point_validation():
         FrickePoint(3, 3, 10)
     with pytest.raises(FrickeError):
         FrickePoint(2, 3, 3)
+
+
+@pytest.mark.parametrize("triple", [(math.nan,) * 3, (3, math.nan, 3),
+                                    (math.inf,) * 3, (3, 3, math.inf),
+                                    (-math.inf, 3, 3)])
+def test_fricke_point_rejects_nonfinite_traces(triple):
+    with pytest.raises(FrickeError, match="finite"):
+        FrickePoint(*triple)
 
 
 def test_holonomy_traces():
@@ -169,3 +177,20 @@ def test_systole_proxy():
     assert abs(systole_proxy(q, 3) - geodesic_length(C("b"), q).length) < 1e-9
     with pytest.raises(FrickeError):
         systole_proxy(p, 1)
+
+
+def test_verify_fricke_reports_a_crash(monkeypatch):
+    # a geodesic_length that crashes on words of three or more letters must
+    # fail the suite, not be skipped like a parabolic word
+    real = verify.geodesic_length
+
+    def crashes_on_long_words(w, p):
+        if len(w) > 2:
+            raise TypeError("crash on a long word")
+        return real(w, p)
+
+    monkeypatch.setattr(verify, "geodesic_length", crashes_on_long_words)
+    monkeypatch.setattr(verify, "SUITES", (("fricke", verify.verify_fricke),))
+    ((name, passed, detail, _),) = verify.run_all(fast=True)
+    assert name == "fricke" and not passed
+    assert detail == "exception: TypeError('crash on a long word')"

@@ -109,7 +109,7 @@ def test_kernel_on_a_vertex_of_300_darts():
     rng = random.Random(150)
     order = list(alphabet_letters(150))
     rng.shuffle(order)
-    g = RibbonGraph.rose(order, 150)
+    g = RibbonGraph.rose(order)
     pos = g._pos_in_vertex
     top = 0
     checked = 0

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -15,7 +16,7 @@ def test_signatures_of_presets():
     assert signature(punctured_torus()) == SurfaceSignature(1, 1)
     assert signature(pair_of_pants()) == SurfaceSignature(0, 3)
     assert signature(genus2_boundary1()) == SurfaceSignature(2, 1)
-    annulus = RibbonGraph.rose((1, -1), 1)
+    annulus = RibbonGraph.rose((1, -1))
     assert signature(annulus) == SurfaceSignature(0, 2)
     assert signature(punctured_torus()).euler_characteristic == -1
 
@@ -42,6 +43,24 @@ def test_serialization_roundtrip():
         h = RibbonGraph.from_text(g.to_text())
         assert h.nxt == g.nxt and h.pair == g.pair and h.label == g.label
         assert signature(h) == signature(g)
+
+
+@pytest.mark.parametrize("line", [
+    "edge 0 2",  # no label
+    "edge 1 9 b",  # a dart past the four darts
+    "edge 0 2 ab",  # a label of two letters
+    "edge 0 x a",  # a dart that is not a number
+    "vertex 0 1 2 4",  # a vertex dart past the four darts
+    "face 0 1",  # an unknown keyword
+])
+def test_from_text_names_a_malformed_line(line):
+    lines = punctured_torus().to_text().splitlines()
+    if line.startswith("vertex"):
+        lines[0] = line
+    else:
+        lines.append(line)
+    with pytest.raises(RibbonError, match=re.escape(repr(line))):
+        RibbonGraph.from_text("\n".join(lines))
 
 
 def test_perm_rep_basics():

@@ -14,11 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 import randcurve.stats as stats
 from randcurve.fricke import ParabolicWordError, minimize_length
+from randcurve.intersect import IntersectionError, spiraling
+from randcurve.ribbon import surface
 from randcurve.stats import (ConfigError, ExperimentConfig,
                              ExperimentTable, RowStats, WalkDistribution,
-                             _sample_word, drift_estimate, fit_log_law,
-                             fit_power_law, random_walk, run_experiment,
-                             sample_ball_uniform, sample_word)
+                             _max_spiraling, _sample_word, drift_estimate,
+                             fit_log_law, fit_power_law, random_walk,
+                             run_experiment, sample_ball_uniform, sample_word)
 from randcurve.words import (BallSpec, CyclicWord, alphabet_letters, ball_size,
                              check_conjugacy_bound, conjugates_in_ball,
                              cyclic_classes, cyclic_reduce, sphere_size)
@@ -554,6 +556,51 @@ def test_config_rejects_nonpositive_d_max(monkeypatch):
         with pytest.raises(ConfigError, match="d_max must be positive"):
             run_experiment(ExperimentConfig(experiment="lifting", n_grid=(6,),
                                             samples=2, d_max=d_max))
+
+
+@pytest.mark.parametrize("probs", [(math.nan,) * 4, (0.25, 0.25, 0.25, math.nan),
+                                   (math.inf, 0, 0, 0),
+                                   (0.5, 0.5, math.inf, -math.inf)])
+def test_config_rejects_nonfinite_walk_weights(monkeypatch, probs):
+    monkeypatch.setattr(stats, "_measure_one", None)  # no sample may run
+    with pytest.raises(ConfigError, match="finite"):
+        ExperimentConfig(experiment="self-int", n_grid=(4,), samples=2,
+                         probs=probs)
+
+
+@pytest.mark.parametrize("surface_name, rank", [("pair-of-pants", 2),
+                                                ("genus2-boundary1", 4)])
+def test_config_rejects_minimizer_off_the_punctured_torus(monkeypatch,
+                                                          surface_name, rank):
+    monkeypatch.setattr(stats, "_measure_one", None)  # no sample may run
+    with pytest.raises(ConfigError, match="punctured torus only"):
+        ExperimentConfig(experiment="minimizer", n_grid=(6,), samples=2,
+                         surface=surface_name, rank=rank)
+
+
+# the generator cores of each preset, written out
+GENERATOR_CORES = {"punctured-torus": ("a", "b"), "pair-of-pants": ("a", "b"),
+                   "genus2-boundary1": ("a", "b", "c", "d")}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_CORES))
+def test_max_spiraling_matches_largest_over_generator_cores(name):
+    g = surface(name)
+    cores = [CyclicWord.from_string(s, g.rank) for s in GENERATOR_CORES[name]]
+    gens = "".join(GENERATOR_CORES[name])
+    words = [x * k for x in gens + gens.upper() for k in (1, 2, 5)]
+    words += ["ab", "aab", "abAB", "aaaBaB", "bbbbA", "aaBBaB"]
+    if g.rank == 4:
+        words += ["abcd", "aaaCd", "cccD", "ddddcB"]
+    for w in words:
+        c = CyclicWord.from_string(w, g.rank)
+        values = []
+        for core in cores:
+            try:
+                values.append(spiraling(c, core, g))
+            except IntersectionError:  # c is a power of this core
+                pass
+        assert _max_spiraling(c, g) == max(values, default=0), (name, w)
 
 
 def test_stats_import_leaves_process_pool_unloaded():
