@@ -5,8 +5,9 @@ x^2 + y^2 + z^2 = xyz with finite x, y, z > 2; such triples parametrize the
 complete finite-area hyperbolic structures, the commutator trace is forced
 to be -2 (cusp).  Geodesic lengths come from traces via
 len = 2*arccosh(|tr|/2); length minimization runs projected gradient
-descent directly on the cubic.  Words are over a and b only, so the
-``minimizer`` experiment family runs on the punctured-torus preset alone.
+descent directly on the cubic.  Words are over a and b only (a letter past
+b raises ``FrickeError``), so the ``minimizer`` experiment family runs on the
+punctured-torus preset alone.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .words import CyclicWord, Word, _classes_with_roots, cyclic_reduce
+from .words import (CyclicWord, Word, _classes_with_roots, cyclic_reduce,
+                    format_letters)
 
 MARKOV_TOL = 1e-9
 GRAD_TOL = 1e-6
@@ -126,11 +128,20 @@ def _length_from_trace(tr: float, scale: float) -> float:
     return 2.0 * (log_t + correction)
 
 
+def _check_ab(c: CyclicWord) -> None:
+    """Raise unless the class is spelled in a and b, the holonomy's letters."""
+    for x in c.letters:
+        if abs(x) > 2:
+            raise FrickeError(f"letter {format_letters((x,))} is not a or b: "
+                              "trace coordinates cover the punctured torus only")
+
+
 def geodesic_length(w: Word | CyclicWord, p: FrickePoint) -> LengthReport:
     """Hyperbolic length of the geodesic representative of ``w`` at ``p``."""
     c = cyclic_reduce(w)
     if len(c) == 0:
         raise FrickeError("trivial word has no geodesic")
+    _check_ab(c)
     A, B = holonomy(p)
     tr, scale = _word_trace(c.letters, A, B)
     length = _length_from_trace(tr, scale)
@@ -236,6 +247,8 @@ def minimize_curve_system(words) -> MinimizeResult:
     words = [cyclic_reduce(w) for w in words]
     if any(len(w) == 0 for w in words):
         raise FrickeError("trivial word in system")
+    for w in words:
+        _check_ab(w)
     best = None
     total_iters = 0
     saw_diverged = False

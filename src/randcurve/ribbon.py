@@ -227,6 +227,8 @@ class RibbonGraph:
         is the largest generator in ``order``.
         """
         order = tuple(parse_letters(order) if isinstance(order, str) else order)
+        if not order:
+            raise RibbonError("rose order must list at least one letter")
         rank = max(abs(x) for x in order)
         if sorted(order) != [x for x in range(-rank, rank + 1) if x]:
             raise RibbonError("rose order must list every letter exactly once")
@@ -293,22 +295,11 @@ class RibbonGraph:
         return cls(nxt, pair, label, rank)
 
 
-def punctured_torus() -> RibbonGraph:
-    return RibbonGraph.rose("abAB")
-
-
-def pair_of_pants() -> RibbonGraph:
-    return RibbonGraph.rose("aAbB")
-
-
-def genus2_boundary1() -> RibbonGraph:
-    return RibbonGraph.rose("abABcdCD")
-
-
+# each preset surface's rose order
 SURFACE_PRESETS = {
-    "punctured-torus": punctured_torus,
-    "pair-of-pants": pair_of_pants,
-    "genus2-boundary1": genus2_boundary1,
+    "punctured-torus": "abAB",
+    "pair-of-pants": "aAbB",
+    "genus2-boundary1": "abABcdCD",
 }
 
 
@@ -316,9 +307,22 @@ SURFACE_PRESETS = {
 def surface(name: str) -> RibbonGraph:
     """The preset surface ``name``, built once per process."""
     try:
-        return SURFACE_PRESETS[name]()
+        order = SURFACE_PRESETS[name]
     except KeyError:
         raise RibbonError(f"unknown surface preset {name!r}") from None
+    return RibbonGraph.rose(order)
+
+
+def punctured_torus() -> RibbonGraph:
+    return surface("punctured-torus")
+
+
+def pair_of_pants() -> RibbonGraph:
+    return surface("pair-of-pants")
+
+
+def genus2_boundary1() -> RibbonGraph:
+    return surface("genus2-boundary1")
 
 
 def components(g: RibbonGraph) -> int:

@@ -21,12 +21,13 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import random
 import statistics
 import types
 import typing
 from collections import Counter
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, dataclass, field, fields, asdict
 
 from . import __version__
 from .intersect import (EdgePath, check_quadratic_bound, intersection,
@@ -277,6 +278,10 @@ class ExperimentConfig:
         if self.experiment == "minimizer" and self.surface != "punctured-torus":
             raise ConfigError("the minimizer's trace coordinates model the "
                               f"punctured torus only, not {self.surface!r}")
+        for name in ("samples", "seed", "rank", "d_max", "jobs"):
+            _require_int(name, getattr(self, name))
+        for n in self.n_grid:
+            _require_int("n_grid entry", n)
         if not self.n_grid or any(n < 0 for n in self.n_grid):
             raise ConfigError("n_grid must be nonempty and nonnegative")
         if len(set(self.n_grid)) != len(self.n_grid):
@@ -312,6 +317,10 @@ class ExperimentConfig:
         unknown = set(d) - set(_FIELD_TYPES)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        missing = [f.name for f in fields(cls)
+                   if f.default is MISSING and f.name not in d]
+        if missing:
+            raise ConfigError(f"missing config keys: {missing}")
         kwargs = {}
         for key, value in d.items():
             try:
@@ -324,6 +333,12 @@ class ExperimentConfig:
         if self.probs is None:
             return WalkDistribution.uniform(self.rank)
         return WalkDistribution(self.rank, self.probs)
+
+
+def _require_int(name: str, value) -> None:
+    # bool is an int subclass, but True is no count, seed or rank
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def _exceeds_class_budget(rank: int, max_len: int) -> bool:
@@ -354,9 +369,11 @@ def _coerce(tp, value):
         return _coerce(tp, value)
     if typing.get_origin(tp) is tuple:
         items = value.replace(",", " ").split() if isinstance(value, str) else value
-        return tuple(args[0](v) for v in items)
+        return tuple(_coerce(args[0], v) for v in items)
     if tp is bool:
         return _BOOL_WORDS[str(value).strip().lower()]
+    if tp is int and not isinstance(value, str):
+        return operator.index(value)  # refuses 1.5, which int() truncates
     return tp(value)
 
 
@@ -467,11 +484,12 @@ def _measure_one(payload):
         # imported per call: tests and the bench tracer rebind them on their modules
         from .covers import check_degree_bounds, simple_lifting_degree
 
-        # both read the root's linked masks, computed once per sample
-        i = self_intersection(EdgePath.from_word(gamma, g))
         res = simple_lifting_degree(gamma, g, d_max=config.d_max)
         if res.found:  # a not-found degree has no bounds to check
-            check_degree_bounds(res.degree, i, _max_spiraling(gamma, g))
+            # reads the root's linked passages that the search cached
+            check_degree_bounds(res.degree,
+                                self_intersection(EdgePath.from_word(gamma, g)),
+                                _max_spiraling(gamma, g))
         outcome, value = ("found" if res.found else "not_found"), res.degree
     elif family == "spiral":
         value = _max_spiraling(gamma, g)

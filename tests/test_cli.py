@@ -7,9 +7,14 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
+from types import SimpleNamespace
+
 import pytest
 
+from randcurve import verify
 from randcurve.cli import main
+from randcurve.fricke import FrickePoint
+from randcurve.ribbon import SurfaceSignature
 from randcurve.stats import (WalkDistribution, drift_estimate, random_walk,
                              sample_ball_uniform)
 
@@ -267,6 +272,49 @@ def test_verify_fast_without_numpy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines() == VERIFY_LINES
+
+
+# one invariant broken per suite, by patching a name ``verify`` imports,
+# and the message its first failed check gives
+BROKEN_INVARIANTS = [
+    ("words", "ball_size", lambda spec: 0, "rank-2 ball sizes wrong"),
+    ("ribbon", "signature", lambda g: SurfaceSignature(0, 0),
+     "punctured torus signature wrong"),
+    ("intersect", "brute_min_crossings", lambda p: -1, "oracle disagreement at B"),
+    ("covers", "hall_count", lambda rank, d: 0, "hall mismatch at d=1"),
+    ("fricke", "rose_minimizer", lambda: FrickePoint(3, 3, 3),
+     "rose minimizer off the symmetric point"),
+    ("stats", "drift_estimate", lambda *args: SimpleNamespace(mean=0.0),
+     "rank-2 drift 0.000 far from 1/2"),
+]
+
+
+@pytest.mark.parametrize("suite, name, broken, message", BROKEN_INVARIANTS,
+                         ids=[case[0] for case in BROKEN_INVARIANTS])
+def test_verify_reports_a_broken_invariant(monkeypatch, capsys, suite, name,
+                                           broken, message):
+    monkeypatch.setattr(verify, name, broken)
+    monkeypatch.setattr(verify, "SUITES",
+                        tuple(s for s in verify.SUITES if s[0] == suite))
+    ((row_name, passed, detail, _),) = verify.run_all(fast=True)
+    assert (row_name, passed, detail) == (suite, False, message)
+    code, out = run_cli("verify", "--fast")
+    assert code == 1 and out == f"FAIL {suite}: {message}\n"
+
+
+def test_verify_fails_under_optimize():
+    # the suites' own checks are not asserts, so -O keeps them
+    code = ("from randcurve import verify\n"
+            "from randcurve.cli import main\n"
+            "verify.ball_size = lambda spec: 0\n"
+            "verify.SUITES = verify.SUITES[:1]\n"
+            "raise SystemExit(main(['verify', '--fast']))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == "FAIL words: rank-2 ball sizes wrong\n"
 
 
 @pytest.mark.parametrize("argv", [

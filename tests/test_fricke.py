@@ -61,6 +61,15 @@ def test_geodesic_length_examples():
         geodesic_length(Word.from_string("aA", 2), p)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: geodesic_length(CyclicWord((3,), 3), FrickePoint(3, 3, 3)),
+    lambda: minimize_length(CyclicWord((1, 3), 3)),
+], ids=["geodesic_length", "minimize_length"])
+def test_letter_past_b_is_a_fricke_error(call):
+    with pytest.raises(FrickeError, match="letter c is not a or b"):
+        call()
+
+
 def test_trace_identity():
     for p in (FrickePoint(3, 3, 3), FrickePoint(3, 3, 6)):
         tr_ab = geodesic_length(C("ab"), p).trace

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from randcurve.intersect import EdgePath
 from randcurve.ribbon import (PermRep, RibbonGraph, RibbonError, SurfaceSignature,
                               boundary_words, components, cover, elevations,
                               faces, genus2_boundary1, pair_of_pants,
@@ -22,10 +23,22 @@ def test_signatures_of_presets():
 
 
 def test_rose_validation():
-    with pytest.raises(RibbonError):
-        RibbonGraph.rose("abA")  # missing B
+    for order in ("abA", "", ()):  # "abA" misses B; the others are empty
+        with pytest.raises(RibbonError):
+            RibbonGraph.rose(order)
     g = RibbonGraph.rose("abAB")
     assert g.rank == 2 and g.dart_count == 4 and g.vertex_count == 1
+
+
+def test_each_preset_is_one_object():
+    # so an EdgePath equals one built on the same preset, and what is cached
+    # on a surface is cached once
+    assert punctured_torus() is punctured_torus() is surface("punctured-torus")
+    assert pair_of_pants() is surface("pair-of-pants")
+    assert genus2_boundary1() is surface("genus2-boundary1")
+    c = CyclicWord.from_string("aab", 2)
+    assert EdgePath.from_word(c, punctured_torus()) == EdgePath.from_word(
+        c, punctured_torus())
 
 
 def test_boundary_word_of_punctured_torus():

@@ -261,7 +261,8 @@ def test_from_dict_coerces_strings_by_field_type():
                                           "samples": "1", "retain_raw": word})
         assert cfg.retain_raw is value
     for key, bad in (("samples", "x"), ("n_grid", "6,x"), ("retain_raw", "maybe"),
-                     ("probs", "0.5,half"), ("seed", "1.5"), ("samples", None)):
+                     ("probs", "0.5,half"), ("seed", "1.5"), ("samples", None),
+                     ("seed", 1.5), ("n_grid", (6.5,))):
         d = {"experiment": "self-int", "n_grid": "6", "samples": "3", key: bad}
         with pytest.raises(ConfigError, match=f"config key {key}"):
             ExperimentConfig.from_dict(d)
@@ -556,6 +557,23 @@ def test_config_rejects_nonpositive_d_max(monkeypatch):
         with pytest.raises(ConfigError, match="d_max must be positive"):
             run_experiment(ExperimentConfig(experiment="lifting", n_grid=(6,),
                                             samples=2, d_max=d_max))
+
+
+@pytest.mark.parametrize("name, value", [
+    ("n_grid", (6.5,)), ("n_grid", (6, "8")), ("samples", 2.0), ("samples", True),
+    ("seed", 1.5), ("rank", 2.0), ("d_max", 2.5), ("jobs", 1.5)])
+def test_config_rejects_non_integer_counts(monkeypatch, name, value):
+    monkeypatch.setattr(stats, "_measure_one", None)  # no sample may run
+    kwargs = dict(experiment="lifting", n_grid=(6,), samples=3) | {name: value}
+    with pytest.raises(ConfigError, match=f"{name}.* must be an integer"):
+        run_experiment(ExperimentConfig(**kwargs))
+
+
+def test_from_dict_names_missing_keys(monkeypatch):
+    monkeypatch.setattr(stats, "_measure_one", None)  # no sample may run
+    with pytest.raises(ConfigError,
+                       match=r"missing config keys: \['n_grid', 'samples'\]"):
+        ExperimentConfig.from_dict({"experiment": "self-int"})
 
 
 @pytest.mark.parametrize("probs", [(math.nan,) * 4, (0.25, 0.25, 0.25, math.nan),
