@@ -8,21 +8,20 @@ harness for the scaling laws these quantities obey for random curves.
 
 __version__ = "0.1.0"
 
-from .words import (Alphabet, BallSpec, CyclicWord, Word, WordError,  # noqa: F401
-                    ball_size, conjugates_in_ball, cyclic, cyclic_reduce,
-                    letter_counts, reduce, satisfies_no_cancellation,
-                    sphere_size, word)
+from .words import (BallSpec, CyclicWord, Word, WordError, ball_size,  # noqa: F401
+                    conjugates_in_ball, cyclic, cyclic_reduce, reduce,
+                    satisfies_no_cancellation, sphere_size, word)
 from .ribbon import (PermRep, RibbonGraph, SurfaceSignature, cover,  # noqa: F401
                      elevations, pair_of_pants, punctured_torus, signature,
                      surface)
-from .intersect import (EdgePath, brute_min_crossings, edge_path,  # noqa: F401
+from .intersect import (EdgePath, brute_min_crossings,  # noqa: F401
                         intersection, self_intersection, spiraling)
 from .covers import (DegreeSearchResult, hall_count, hook_degree,  # noqa: F401
                      mednykh_count, partitions, simple_lifting_degree,
                      transitive_reps)
 from .fricke import (FrickePoint, collar_width, distance_proxy,  # noqa: F401
                      geodesic_length, holonomy, minimize_length,
-                     rose_minimizer, systole_proxy)
+                     rose_minimizer)
 from .stats import (ExperimentConfig, ExperimentTable, WalkDistribution,  # noqa: F401
                     drift_estimate, fit_log_law, fit_power_law, random_walk,
                     run_experiment, sample_ball_uniform)

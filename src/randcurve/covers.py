@@ -32,7 +32,7 @@ from itertools import permutations, product
 from math import factorial
 
 from .intersect import EdgePath, linked_passages
-from .ribbon import PermRep, RibbonGraph, perm_inverse, perm_orbit_count
+from .ribbon import PermRep, RibbonGraph, perm_orbit_count
 from .words import CyclicWord, WordError
 
 
@@ -162,37 +162,14 @@ def transitive_reps(rank: int, d: int, closed_genus: int | None = None):
         yield rep
 
 
-def count_transitive_reps(rank: int, d: int, closed_genus: int | None = None) -> int:
-    return sum(1 for _ in transitive_reps(rank, d, closed_genus))
-
-
 def subgroup_count_by_enumeration(rank: int, d: int, closed_genus: int | None = None) -> int:
     """Index-d subgroup count: transitive tuples / (d-1)! (stabilizer of a
     marked sheet)."""
-    n = count_transitive_reps(rank, d, closed_genus)
+    n = sum(1 for _ in transitive_reps(rank, d, closed_genus))
     cnt, rem = divmod(n, factorial(d - 1))
     if rem:
         raise AssertionError("transitive count not divisible by (d-1)!")
     return cnt
-
-
-def subgroup_class_count(rank: int, d: int, closed_genus: int | None = None) -> int:
-    """Conjugacy classes of index-d subgroups: orbits of transitive tuples
-    under simultaneous conjugation."""
-    seen = set()
-    classes = 0
-    perms = list(permutations(range(d)))
-    inv = {p: perm_inverse(p) for p in perms}
-    for rep in transitive_reps(rank, d, closed_genus):
-        key = rep.images
-        if key in seen:
-            continue
-        classes += 1
-        for s in perms:
-            si = inv[s]
-            conj = tuple(tuple(s[p[si[i]]] for i in range(d)) for p in rep.images)
-            seen.add(conj)
-    return classes
 
 
 # --- simple lifting degree ---------------------------------------------------

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .words import (CyclicWord, Word, _classes_with_roots, cyclic_reduce,
-                    format_letters)
+from .words import CyclicWord, Word, cyclic_reduce, format_letters
 
 MARKOV_TOL = 1e-9
 GRAD_TOL = 1e-6
@@ -304,7 +303,7 @@ def minimize_curve_system(words) -> MinimizeResult:
             best = MinimizeResult(status, FrickePoint(*p), value, tnorm, total_iters)
         saw_diverged = saw_diverged or status == "diverged"
     if best is not None:
-        return best
+        return replace(best, iterations=total_iters)
     status = "diverged" if saw_diverged else "budget"
     return MinimizeResult(status, None, None, None, total_iters)
 
@@ -342,19 +341,3 @@ def distance_proxy(p: FrickePoint, q: FrickePoint) -> float:
         lq = geodesic_length(w, q).length
         worst = max(worst, abs(math.log(lp / lq)))
     return worst
-
-
-def systole_proxy(p: FrickePoint, l_max: int) -> float:
-    """Shortest geodesic length over primitive non-peripheral classes with
-    word length at most ``l_max``."""
-    if l_max < 2:
-        raise FrickeError("l_max must be at least 2")
-    best = math.inf
-    for c, root_len in _classes_with_roots(l_max, 2):
-        if root_len != len(c):
-            continue
-        try:
-            best = min(best, geodesic_length(c, p).length)
-        except ParabolicWordError:
-            continue
-    return best

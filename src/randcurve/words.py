@@ -17,7 +17,6 @@ closed form, from the class's primitive root and the rank.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from math import isqrt
 
@@ -106,29 +105,6 @@ def _period(seq) -> int:
     small = [p for p in range(1, isqrt(n) + 1) if n % p == 0]
     large = [n // p for p in reversed(small) if p * p != n]
     return next(p for p in small + large if seq == seq[:p] * (n // p))
-
-
-@dataclass(frozen=True)
-class Alphabet:
-    """Symmetric generating alphabet of the free group of given rank."""
-
-    rank: int
-
-    def __post_init__(self):
-        _validate_letters((), self.rank)
-
-    @property
-    def letters(self) -> tuple[int, ...]:
-        return alphabet_letters(self.rank)
-
-    def inverse(self, x: int) -> int:
-        _validate_letters((x,), self.rank)
-        return -x
-
-    def parse(self, s: str) -> tuple[int, ...]:
-        letters = parse_letters(s)
-        _validate_letters(letters, self.rank)
-        return letters
 
 
 @dataclass(frozen=True)
@@ -254,10 +230,6 @@ def cyclic_reduce(w: Word | CyclicWord) -> CyclicWord:
     return _unchecked(CyclicWord, core[k:] + core[:k], w.rank)
 
 
-def are_conjugate(u: Word | CyclicWord, v: Word | CyclicWord) -> bool:
-    return cyclic_reduce(u).letters == cyclic_reduce(v).letters
-
-
 def cyclic_classes(max_len: int, rank: int = 2):
     """Every nontrivial conjugacy class of length <= ``max_len``, once, in
     (length, lexicographic) order: the classes of ``_classes_with_roots``."""
@@ -341,19 +313,6 @@ def check_conjugacy_bound(c: CyclicWord, n: int, count: int) -> int:
     if count > bound:
         raise AssertionError(f"conjugacy bound violated for {c} n={n}")
     return bound - count
-
-
-@dataclass(frozen=True)
-class LetterCounts:
-    counts: dict
-    exponent_sums: dict
-
-
-def letter_counts(c: CyclicWord) -> LetterCounts:
-    """Per-letter occurrence counts and per-generator exponent sums."""
-    counts = Counter(c.letters)
-    sums = {i: counts.get(i, 0) - counts.get(-i, 0) for i in range(1, c.rank + 1)}
-    return LetterCounts(dict(counts), sums)
 
 
 def satisfies_no_cancellation(w: Word, c: CyclicWord) -> bool:

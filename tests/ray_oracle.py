@@ -1,0 +1,111 @@
+"""Scalar ray oracles for the linked-pair kernel and ``spiraling``.
+
+A ray is a callable j -> dart: the j-th outgoing dart along an infinite
+reduced path in the universal cover, based at a common lift of a vertex.
+``primitive_self_count`` compares rays pairwise and weights each linked pair
+by 1/overlap; ``tests/test_kernel.py`` checks ``self_intersection`` and
+``linked_masks`` against it, and ``tests/test_intersect.py`` builds its
+translate-counting oracle for ``spiraling`` from the same rays.  The file
+name has no ``test_`` prefix, so pytest imports it from the tests but does
+not collect it.
+"""
+
+from randcurve.intersect import EdgePath
+from randcurve.ribbon import RibbonGraph
+
+
+def _forward_ray(darts, s):
+    n = len(darts)
+    return lambda j: darts[(s + j) % n]
+
+
+def _backward_ray(darts, pair, s):
+    n = len(darts)
+    return lambda j: pair[darts[(s - 1 - j) % n]]
+
+
+def _divergence(r1, r2, cap):
+    """First index where the rays differ, or None if equal up to cap."""
+    for j in range(cap):
+        if r1(j) != r2(j):
+            return j
+    return None
+
+
+def _orient(g: RibbonGraph, u, v, w, cap) -> int:
+    """Circular orientation of three distinct ends seen from the basepoint.
+
+    The three rays span a tripod; at its center the rays (or the back-dart
+    toward the branch that split off earlier) leave along three distinct
+    darts of one vertex, whose cyclic order decides the orientation.
+    """
+    duv = _divergence(u, v, cap)
+    duw = _divergence(u, w, cap)
+    dvw = _divergence(v, w, cap)
+    if duv is None or duw is None or dvw is None:
+        raise AssertionError("rays required to be distinct did not diverge")
+    m = min(duv, duw, dvw)
+    if duv > m:
+        return g.cyc_orient(u(duv), v(duv), g.pair[u(duv - 1)])
+    if duw > m:
+        return g.cyc_orient(u(duw), g.pair[u(duw - 1)], w(duw))
+    if dvw > m:
+        return g.cyc_orient(g.pair[v(dvw - 1)], v(dvw), w(dvw))
+    return g.cyc_orient(u(m), v(m), w(m))
+
+
+def _linked(g, chord1, chord2, cap) -> bool:
+    """Whether two chords (pairs of distinct ends) strictly interleave."""
+    (p, q), (s, t) = chord1, chord2
+    return _orient(g, p, s, q, cap) != _orient(g, p, t, q, cap)
+
+
+def _overlap_size(g, rays1, rays2, cap) -> int:
+    """Number of vertices the two based lines share.
+
+    Two crossing lines in the universal cover meet in a segment; a crossing
+    pair is seen once per shared vertex when enumerated through vertex
+    passages, so counts are weighted by the segment size.  The segment
+    extends backward while the backward ray of line 1 agrees with either ray
+    of line 2, and forward likewise.
+    """
+    b1, f1 = rays1
+    b2, f2 = rays2
+
+    def extent(r, a, b):
+        da = _divergence(r, a, cap)
+        db = _divergence(r, b, cap)
+        if da is None or db is None:
+            raise AssertionError("distinct lines overlap beyond cap")
+        return max(da, db)
+
+    return 1 + extent(b1, b2, f2) + extent(f1, b2, f2)
+
+
+def primitive_self_count(path: EdgePath) -> int:
+    """Test oracle for ``self_intersection`` of a primitive path (scalar
+    ray loops).
+
+    Sums 1/overlap over linked vertex-passage pairs; the total is the number
+    of crossing line-pair orbits, i.e. the geometric count.
+    """
+    from fractions import Fraction
+
+    g = path.graph
+    d = path.darts
+    n = len(d)
+    cap = 2 * n + 4
+    total = Fraction(0)
+    vertex_of = g.vertex_of
+    for i in range(n):
+        vi = vertex_of[d[i]]
+        rays_i = (_backward_ray(d, g.pair, i), _forward_ray(d, i))
+        for j in range(i + 1, n):
+            if vertex_of[d[j]] != vi:
+                continue
+            rays_j = (_backward_ray(d, g.pair, j), _forward_ray(d, j))
+            if _linked(g, rays_i, rays_j, cap):
+                total += Fraction(1, _overlap_size(g, rays_i, rays_j, cap))
+    if total.denominator != 1:
+        raise AssertionError("non-integral crossing count: invariant violated")
+    return int(total)

@@ -8,7 +8,7 @@ from randcurve import fricke, verify
 from randcurve.fricke import (FrickeError, FrickePoint, ParabolicWordError,
                               collar_width, distance_proxy, geodesic_length,
                               holonomy, markov_residual, minimize_curve_system,
-                              minimize_length, rose_minimizer, systole_proxy)
+                              minimize_length, rose_minimizer)
 from randcurve.words import CyclicWord, Word, alphabet_letters, cyclic_reduce
 
 
@@ -146,6 +146,18 @@ def test_minimize_stalled_line_search_is_budget(monkeypatch):
     assert len(calls) == res.iterations
 
 
+def test_minimize_counts_iterations_of_every_seed(monkeypatch):
+    # seed (3, 3, 3) converges in 14 iterations and seed (3, 3, 6) then
+    # diverges after 2 more; the converged result counts both seeds
+    calls = []
+    grad = fricke._tangent_grad_norm
+    monkeypatch.setattr(fricke, "_tangent_grad_norm",
+                        lambda words, p: calls.append(p) or grad(words, p))
+    res = minimize_length(C("babbaabAbaBabbAbABaB"))
+    assert res.status == "converged"
+    assert res.iterations == len(calls) == 16
+
+
 def test_symmetric_system_minimizer():
     res = minimize_curve_system([C("a"), C("b"), C("ab")])
     assert res.status == "converged"
@@ -172,20 +184,6 @@ def test_distance_proxy():
     d = distance_proxy(p, q)
     assert d > 0
     assert abs(d - distance_proxy(q, p)) < 1e-12
-
-
-def test_systole_proxy():
-    p = FrickePoint(3, 3, 3)
-    val = systole_proxy(p, 4)
-    assert abs(val - 2 * math.acosh(1.5)) < 1e-9
-    assert systole_proxy(p, 5) <= val + 1e-12
-    # at an asymmetric point the proxy is realized by a coordinate curve
-    x, y = 10.0, 2.5
-    z = (x * y - math.sqrt(x * x * y * y - 4 * (x * x + y * y))) / 2
-    q = FrickePoint(x, y, z)
-    assert abs(systole_proxy(q, 3) - geodesic_length(C("b"), q).length) < 1e-9
-    with pytest.raises(FrickeError):
-        systole_proxy(p, 1)
 
 
 def test_verify_fricke_reports_a_crash(monkeypatch):

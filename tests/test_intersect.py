@@ -4,15 +4,15 @@ import random
 import pytest
 
 from randcurve.intersect import (BudgetExceeded, EdgePath, IntersectionError,
-                                 _backward_ray, _dart_text, _divergence,
-                                 _forward_ray, _linked, _simple_core,
-                                 brute_min_crossings, check_invariance,
-                                 intersection, self_intersection, spiraling)
+                                 _dart_text, _simple_core, brute_min_crossings,
+                                 check_invariance, intersection,
+                                 self_intersection, spiraling)
 from randcurve.ribbon import (PermRep, RibbonError, genus2_boundary1,
                               pair_of_pants, punctured_torus)
 from randcurve.stats import uniform_reduced_word
 from randcurve.words import CyclicWord, Word, alphabet_letters, cyclic_classes, \
     cyclic_reduce, least_rotation
+from ray_oracle import _backward_ray, _divergence, _forward_ray, _linked
 
 PT = punctured_torus()
 PP = pair_of_pants()

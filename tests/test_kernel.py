@@ -1,10 +1,10 @@
 """The sorted-ends linked-pair kernel against independent oracles.
 
-- ``linked_masks`` against the scalar ray comparison ``_linked`` applied to
-  every pair of passages at a common vertex;
-- ``self_intersection`` against ``primitive_self_count``, which weights
-  linked passage pairs by 1/overlap instead of reading the start of the
-  shared segment;
+- ``linked_masks`` against the scalar ray comparison ``_linked`` of
+  ``ray_oracle`` applied to every pair of passages at a common vertex;
+- ``self_intersection`` against ``ray_oracle.primitive_self_count``, which
+  weights linked passage pairs by 1/overlap instead of reading the start of
+  the shared segment;
 - ``intersection`` against the band-diagram brute force.
 """
 
@@ -15,14 +15,14 @@ import subprocess
 import sys
 from pathlib import Path
 
-from randcurve.intersect import (EdgePath, _backward_ray, _forward_ray,
-                                 _linked, brute_min_crossings, intersection,
-                                 linked_masks, primitive_self_count,
-                                 self_intersection)
+from randcurve.intersect import (EdgePath, brute_min_crossings, intersection,
+                                 linked_masks, self_intersection)
 from randcurve.ribbon import (PermRep, RibbonGraph, elevations,
                               genus2_boundary1, pair_of_pants, punctured_torus)
 from randcurve.words import CyclicWord, Word, alphabet_letters, cyclic_classes, \
     cyclic_reduce
+from ray_oracle import (_backward_ray, _forward_ray, _linked,
+                        primitive_self_count)
 
 PT, PP, G2 = punctured_torus(), pair_of_pants(), genus2_boundary1()
 PRESETS = (PT, PP, G2)
@@ -177,13 +177,13 @@ def test_intersection_of_powers_of_one_root_matches_brute_force():
 def test_kernel_runs_without_numpy():
     code = "\n".join((
         "import sys",
-        "from randcurve import (cyclic, edge_path, intersection,",
+        "from randcurve import (EdgePath, cyclic, intersection,",
         "                       punctured_torus, self_intersection,",
         "                       simple_lifting_degree)",
         "g = punctured_torus()",
-        "p = edge_path(cyclic('aabbaBBAbab'), g)",
+        "p = EdgePath.from_word(cyclic('aabbaBBAbab'), g)",
         "assert self_intersection(p) > 0",
-        "assert intersection(p, edge_path(cyclic('a'), g)) > 0",
+        "assert intersection(p, EdgePath.from_word(cyclic('a'), g)) > 0",
         "assert simple_lifting_degree(cyclic('aabb'), g).degree == 2",
         "from randcurve.stats import (ExperimentConfig, WalkDistribution,",
         "                             drift_estimate, random_walk, run_experiment)",
