@@ -8,9 +8,10 @@ harness for the scaling laws these quantities obey for random curves.
 
 __version__ = "0.1.0"
 
-from .words import (BallSpec, CyclicWord, Word, WordError, ball_size,  # noqa: F401
-                    conjugates_in_ball, cyclic, cyclic_reduce, reduce,
-                    satisfies_no_cancellation, sphere_size, word)
+from .words import (BallSpec, CyclicWord, InvariantViolation, Word,  # noqa: F401
+                    WordError, ball_size, conjugates_in_ball, cyclic,
+                    cyclic_reduce, reduce, satisfies_no_cancellation,
+                    sphere_size, word)
 from .ribbon import (PermRep, RibbonGraph, SurfaceSignature, cover,  # noqa: F401
                      elevations, pair_of_pants, punctured_torus, signature,
                      surface)

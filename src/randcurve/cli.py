@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 domain error (bad word, trivial curve, ...),
-2 usage error.  All randomness is controlled by --seed; identical argv and
+2 usage error, 3 a failed self-check (``InvariantViolation``: a library
+bug, reported as ``internal error: <detail>``).  ``verify`` exits 1 when a
+suite fails.  All randomness is controlled by --seed; identical argv and
 seed produce byte-identical output regardless of --jobs.  Each subcommand's
 parser names its handler, which prints the result and returns the exit code
 (None for 0).
@@ -20,7 +22,8 @@ from .intersect import EdgePath, intersection, self_intersection, spiraling
 from .ribbon import SURFACE_PRESETS, surface
 from .stats import (ExperimentConfig, WalkDistribution, drift_estimate,
                     random_walk, run_experiment, sample_ball_uniform)
-from .words import CyclicWord, Word, cyclic_reduce, format_letters, reduce
+from .words import (CyclicWord, InvariantViolation, Word, cyclic_reduce,
+                    format_letters, reduce)
 
 
 def _parse_config_file(path: str) -> dict:
@@ -221,7 +224,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args) or 0
-    except (ValueError, AssertionError) as exc:
+    except InvariantViolation as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -33,7 +33,7 @@ from math import factorial
 
 from .intersect import EdgePath, linked_passages
 from .ribbon import PermRep, RibbonGraph, perm_orbit_count
-from .words import CyclicWord, WordError
+from .words import CyclicWord, WordError, require
 
 
 class CoverSearchError(ValueError):
@@ -89,8 +89,7 @@ def hook_degree(lam: Partition) -> int:
         for j in range(p):
             hooks *= (p - j) + (conj[j] - i) - 1
     deg, rem = divmod(factorial(d), hooks)
-    if rem:
-        raise AssertionError("hook product does not divide d!")
+    require(rem == 0, "hook product does not divide d!")
     return deg
 
 
@@ -128,8 +127,7 @@ def mednykh_count(g: int, d: int) -> int:
     total = _mednykh_h(g, d) / factorial(d - 1)
     for k in range(1, d):
         total -= _mednykh_h(g, d - k) * mednykh_count(g, k) / factorial(d - k)
-    if total.denominator != 1:
-        raise AssertionError("non-integral subgroup count: implementation bug")
+    require(total.denominator == 1, "non-integral subgroup count: implementation bug")
     return int(total)
 
 
@@ -167,8 +165,7 @@ def subgroup_count_by_enumeration(rank: int, d: int, closed_genus: int | None = 
     marked sheet)."""
     n = sum(1 for _ in transitive_reps(rank, d, closed_genus))
     cnt, rem = divmod(n, factorial(d - 1))
-    if rem:
-        raise AssertionError("transitive count not divisible by (d-1)!")
+    require(rem == 0, "transitive count not divisible by (d-1)!")
     return cnt
 
 
@@ -330,14 +327,11 @@ def simple_lifting_degree(gamma: CyclicWord, g: RibbonGraph,
 
 
 def check_degree_bounds(degree: int | None, i: int, spiral: int) -> None:
-    """Raise ``AssertionError`` unless a found degree (None passes) obeys
-    its bounds against self-intersection ``i`` and largest spiraling
+    """Raise ``InvariantViolation`` unless a found degree (None passes)
+    obeys its bounds against self-intersection ``i`` and largest spiraling
     ``spiral``: degree <= 5i + 5, degree >= spiral, 1 exactly when i = 0."""
     if degree is None:
         return
-    if degree > 5 * i + 5:
-        raise AssertionError("linear degree bound violated")
-    if degree < spiral:
-        raise AssertionError("spiraling lower bound violated")
-    if (degree == 1) != (i == 0):
-        raise AssertionError("degree-1 iff simple failed")
+    require(degree <= 5 * i + 5, "linear degree bound violated")
+    require(degree >= spiral, "spiraling lower bound violated")
+    require((degree == 1) == (i == 0), "degree-1 iff simple failed")

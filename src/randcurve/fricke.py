@@ -16,7 +16,7 @@ import functools
 import math
 from dataclasses import dataclass, replace
 
-from .words import CyclicWord, Word, cyclic_reduce, format_letters
+from .words import CyclicWord, Word, cyclic_reduce, format_letters, require
 
 MARKOV_TOL = 1e-9
 GRAD_TOL = 1e-6
@@ -323,8 +323,7 @@ def rose_minimizer() -> FrickePoint:
     (2*sqrt(2), 2*sqrt(2), 4).
     """
     res = minimize_curve_system([CyclicWord((1,), 2), CyclicWord((2,), 2)])
-    if res.status != "converged":
-        raise FrickeError(f"rose minimization failed: {res.status}")
+    require(res.status == "converged", f"rose minimization failed: {res.status}")
     return res.point
 
 

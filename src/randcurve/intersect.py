@@ -48,8 +48,8 @@ from itertools import permutations, product
 from math import factorial, prod
 
 from .ribbon import RibbonError, RibbonGraph
-from .words import (CyclicWord, Word, WordError, _period, cyclic_reduce,
-                    least_rotation)
+from .words import (CyclicWord, InvariantViolation, Word, WordError, _period,
+                    cyclic_reduce, least_rotation, require)
 
 
 class IntersectionError(ValueError):
@@ -225,26 +225,23 @@ def self_intersection(p: EdgePath) -> int:
     n = len(root)
     ordered = _ordered_crossings(root.graph, [root.darts], linked_masks(root),
                                  range(n), (1 << n) - 1)
-    if ordered % 2:
-        raise AssertionError("odd ordered crossing count: invariant violated")
+    require(ordered % 2 == 0, "odd ordered crossing count: invariant violated")
     return k * k * (ordered // 2) + (k - 1)
 
 
 def check_quadratic_bound(i: int, n: int) -> None:
-    """Raise ``AssertionError`` unless a self-intersection number ``i`` of a
-    word of length ``n`` is at most n(n-1)/2."""
-    if i > n * (n - 1) // 2:
-        raise AssertionError("quadratic bound violated")
+    """Raise ``InvariantViolation`` unless a self-intersection number ``i``
+    of a word of length ``n`` is at most n(n-1)/2."""
+    require(i <= n * (n - 1) // 2, "quadratic bound violated")
 
 
 def check_invariance(p: EdgePath, i: int, shift: int) -> None:
-    """Raise ``AssertionError`` unless the inverse of ``p`` and its rotation
-    by ``shift`` darts have the self-intersection number ``i`` of ``p``."""
-    if self_intersection(p.inverse()) != i:
-        raise AssertionError("not inversion invariant")
+    """Raise ``InvariantViolation`` unless the inverse of ``p`` and its
+    rotation by ``shift`` darts have the self-intersection number ``i`` of
+    ``p``."""
+    require(self_intersection(p.inverse()) == i, "not inversion invariant")
     rot = EdgePath(p.graph, p.darts[shift:] + p.darts[:shift])
-    if self_intersection(rot) != i:
-        raise AssertionError("not rotation invariant")
+    require(self_intersection(rot) == i, "not rotation invariant")
 
 
 def intersection(p: EdgePath, q: EdgePath) -> int:
@@ -310,8 +307,8 @@ def brute_min_crossings(paths) -> int:
         for t, d in enumerate(p.darts):
             k = first + (t - 1) % n
             x = pair[darts[k]]
-            if vertex_of[x] != vertex_of[d]:
-                raise AssertionError(f"chord {t} of path {pi} joins two vertices")
+            require(vertex_of[x] == vertex_of[d],
+                    f"chord {t} of path {pi} joins two vertices")
             chords.setdefault(vertex_of[d], []).append(end(d, first + t) + end(x, k))
         first += n
     h = [0] * len(darts)
@@ -432,4 +429,4 @@ def _end_order(g: RibbonGraph, d, p: int, q: int) -> int:
         if xb != xf:
             return g.cyc_orient(g.pair[prev], xb, xf)
         prev = xf
-    raise AssertionError("a class agrees with its inverse: invariant violated")
+    raise InvariantViolation("a class agrees with its inverse: invariant violated")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .words import CyclicWord, WordError, format_letters, parse_letters
+from .words import CyclicWord, WordError, format_letters, parse_letters, require
 
 
 class RibbonError(ValueError):
@@ -347,11 +347,9 @@ def signature(g: RibbonGraph) -> SurfaceSignature:
         raise RibbonError("signature needs a connected ribbon graph")
     chi = g.vertex_count - g.edge_count
     b = len(faces(g))
-    if (2 - chi - b) % 2 != 0:
-        raise AssertionError("non-integral genus: invariant violated")
+    require((2 - chi - b) % 2 == 0, "non-integral genus: invariant violated")
     genus = (2 - chi - b) // 2
-    if genus < 0:
-        raise AssertionError("negative genus: invariant violated")
+    require(genus >= 0, "negative genus: invariant violated")
     return SurfaceSignature(genus, b)
 
 
@@ -410,8 +408,7 @@ def elevations(gamma: CyclicWord, phi: PermRep, base: RibbonGraph) -> list[Eleva
             for x in gamma.letters:
                 darts.append(base.dart_for_letter(x) * d + s)
                 s = phi.act(s, x)
-        if s != s0:
-            raise AssertionError(f"elevation from sheet {s0} did not close up")
+        require(s == s0, f"elevation from sheet {s0} did not close up")
         out.append(Elevation(s0, k, tuple(darts), cov))
     return out
 

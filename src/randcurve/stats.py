@@ -29,14 +29,15 @@ import typing
 from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields, asdict
 
-from . import __version__
+from . import __version__, covers, fricke
 from .intersect import (EdgePath, check_quadratic_bound, intersection,
                         self_intersection, spiraling)
 from .ribbon import SURFACE_PRESETS, surface
-from .words import (BallSpec, CyclicWord, Word, WordError, _unchecked,
-                    _validate_letters, alphabet_letters, check_conjugacy_bound,
-                    _classes_with_roots, conjugates_in_ball, cyclic_reduce,
-                    reduce_letters, sphere_size)
+from .words import (BallSpec, CyclicWord, InvariantViolation, Word, WordError,
+                    _unchecked, _validate_letters, alphabet_letters,
+                    check_conjugacy_bound, _classes_with_roots,
+                    conjugates_in_ball, cyclic_reduce, reduce_letters, require,
+                    sphere_size)
 
 
 class ConfigError(ValueError):
@@ -481,33 +482,26 @@ def _measure_one(payload):
         else:
             value = intersection(EdgePath.from_word(gamma, g), alpha_path)
     elif family == "lifting":
-        # imported per call: tests and the bench tracer rebind them on their modules
-        from .covers import check_degree_bounds, simple_lifting_degree
-
-        res = simple_lifting_degree(gamma, g, d_max=config.d_max)
+        res = covers.simple_lifting_degree(gamma, g, d_max=config.d_max)
         if res.found:  # a not-found degree has no bounds to check
             # reads the root's linked passages that the search cached
-            check_degree_bounds(res.degree,
-                                self_intersection(EdgePath.from_word(gamma, g)),
-                                _max_spiraling(gamma, g))
+            covers.check_degree_bounds(
+                res.degree, self_intersection(EdgePath.from_word(gamma, g)),
+                _max_spiraling(gamma, g))
         outcome, value = ("found" if res.found else "not_found"), res.degree
     elif family == "spiral":
         value = _max_spiraling(gamma, g)
     else:
-        from .fricke import (GRAD_TOL, ParabolicWordError, distance_proxy,
-                             minimize_length, rose_minimizer)
-
         try:
-            res = minimize_length(gamma)
-        except ParabolicWordError:
+            res = fricke.minimize_length(gamma)
+        except fricke.ParabolicWordError:
             # a power of the boundary curve has no hyperbolic length
             return n, "parabolic", None, len(gamma)
         outcome = res.status
         if outcome == "converged":
-            if not res.grad_norm < GRAD_TOL:
-                raise AssertionError("converged minimizer has gradient "
-                                     f"norm {res.grad_norm}")
-            value = distance_proxy(res.point, rose_minimizer())
+            require(res.grad_norm < fricke.GRAD_TOL,
+                    f"converged minimizer has gradient norm {res.grad_norm}")
+            value = fricke.distance_proxy(res.point, fricke.rose_minimizer())
     return n, outcome, value, len(gamma)
 
 
@@ -534,7 +528,7 @@ def _run_conj_ball(config: ExperimentConfig) -> ExperimentTable:
                 count = conjugates_in_ball(c, n)
                 try:
                     by_group[key] = check_conjugacy_bound(c, n, count)
-                except AssertionError:
+                except InvariantViolation:
                     by_group[key] = None
             slack = by_group[key]
             if slack is None:

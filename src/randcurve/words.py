@@ -27,6 +27,17 @@ class WordError(ValueError):
     """Raised for malformed words or domain violations."""
 
 
+class InvariantViolation(AssertionError):
+    """A self-check of the library failed: a bug, not a bad input."""
+
+
+def require(ok, detail: str) -> None:
+    """Raise ``InvariantViolation(detail)`` unless ``ok``; a call, unlike
+    ``assert``, so it also holds under ``python -O``."""
+    if not ok:
+        raise InvariantViolation(detail)
+
+
 def alphabet_letters(rank: int) -> tuple[int, ...]:
     """All 2*rank letters, generators first."""
     return tuple(range(1, rank + 1)) + tuple(-i for i in range(1, rank + 1))
@@ -308,10 +319,9 @@ def ball_size(spec: BallSpec) -> int:
 def check_conjugacy_bound(c: CyclicWord, n: int, count: int) -> int:
     """Slack n * |B_{(n - |c|) // 2}| - ``count`` of the conjugacy-ball lemma
     for ``count`` elements of [c] in the ball of radius ``n``; raises
-    ``AssertionError`` when it is negative."""
+    ``InvariantViolation`` when it is negative."""
     bound = n * ball_size(BallSpec(c.rank, (n - len(c)) // 2))
-    if count > bound:
-        raise AssertionError(f"conjugacy bound violated for {c} n={n}")
+    require(count <= bound, f"conjugacy bound violated for {c} n={n}")
     return bound - count
 
 

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from randcurve import verify
+from randcurve import intersect, verify
 from randcurve.cli import main
 from randcurve.fricke import FrickePoint
 from randcurve.ribbon import SurfaceSignature
@@ -134,6 +134,15 @@ def test_domain_error_exit_code(capsys):
     code = main(["self-int", "--word", "a!b"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_failed_self_check_exit_code(monkeypatch, capsys):
+    # a library bug is not a bad input: it exits 3, not 1, and prints no result
+    monkeypatch.setattr(intersect, "_ordered_crossings", lambda *args: 1)
+    code = main(["self-int", "--word", "ab"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err == "internal error: odd ordered crossing count: invariant violated\n"
 
 
 def test_usage_error_exit_code():

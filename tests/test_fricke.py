@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from randcurve import fricke, verify
-from randcurve.fricke import (FrickeError, FrickePoint, ParabolicWordError,
-                              collar_width, distance_proxy, geodesic_length,
-                              holonomy, markov_residual, minimize_curve_system,
-                              minimize_length, rose_minimizer)
-from randcurve.words import CyclicWord, Word, alphabet_letters, cyclic_reduce
+from randcurve.fricke import (FrickeError, FrickePoint, MinimizeResult,
+                              ParabolicWordError, collar_width, distance_proxy,
+                              geodesic_length, holonomy, markov_residual,
+                              minimize_curve_system, minimize_length,
+                              rose_minimizer)
+from randcurve.words import (CyclicWord, InvariantViolation, Word,
+                             alphabet_letters, cyclic_reduce)
 
 
 def C(s):
@@ -201,3 +203,18 @@ def test_verify_fricke_reports_a_crash(monkeypatch):
     ((name, passed, detail, _),) = verify.run_all(fast=True)
     assert name == "fricke" and not passed
     assert detail == "exception: TypeError('crash on a long word')"
+
+
+def test_rose_minimizer_that_does_not_converge_is_a_failed_self_check(monkeypatch):
+    # the rose curves a and b always have a minimizer: failing to find it is
+    # a library bug, not a domain error
+    monkeypatch.setattr(fricke, "minimize_curve_system",
+                        lambda words: MinimizeResult("budget", None, None, None, 0))
+    rose_minimizer.cache_clear()
+    try:
+        with pytest.raises(InvariantViolation,
+                           match="^rose minimization failed: budget$") as exc:
+            rose_minimizer()
+        assert not isinstance(exc.value, FrickeError)
+    finally:
+        rose_minimizer.cache_clear()

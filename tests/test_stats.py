@@ -654,7 +654,7 @@ def test_invariant_checks_survive_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", _HUGE_DEGREE_RUN],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1, proc.stderr
-    assert "AssertionError: linear degree bound violated" in proc.stderr
+    assert "InvariantViolation: linear degree bound violated" in proc.stderr
 
 
 # Sampler streams recorded before the samplers shared one draw: the same
@@ -697,11 +697,26 @@ def test_public_sampler_streams_pinned():
             == "0.7333333333333333")
 
 
+def _library_nodes():
+    src = Path(__file__).resolve().parents[1] / "src" / "randcurve"
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            yield path.name, node
+
+
 def test_library_has_no_bare_assert():
     # ``python -O`` strips assert statements; invariant checks must raise
-    src = Path(__file__).resolve().parents[1] / "src" / "randcurve"
-    hits = [f"{path.name}:{node.lineno}"
-            for path in sorted(src.glob("*.py"))
-            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+    hits = [f"{name}:{node.lineno}" for name, node in _library_nodes()
             if isinstance(node, ast.Assert)]
+    assert hits == []
+
+
+def test_library_raises_no_assertion_error():
+    # a failed self-check raises InvariantViolation, through ``require``
+    def raised(node):
+        return node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+
+    hits = [f"{name}:{node.lineno}" for name, node in _library_nodes()
+            if isinstance(node, ast.Raise)
+            and getattr(raised(node), "id", None) == "AssertionError"]
     assert hits == []
