@@ -66,18 +66,6 @@ class LengthReport:
     trace: float
 
 
-def _mat_mul(m, n):
-    return ((m[0][0] * n[0][0] + m[0][1] * n[1][0],
-             m[0][0] * n[0][1] + m[0][1] * n[1][1]),
-            (m[1][0] * n[0][0] + m[1][1] * n[1][0],
-             m[1][0] * n[0][1] + m[1][1] * n[1][1]))
-
-
-def _mat_inv(m):
-    # unimodular inverse
-    return ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
-
-
 def _holonomy_raw(x: float, y: float, z: float):
     # B = [[1, f], [g, y-1]] with f - g = z - x and f*g = y - 2 realizes the
     # trace triple for any y > 2 (discriminant (z-x)^2 + 4(y-2) > 0)
@@ -101,17 +89,21 @@ def _word_trace(letters, A, B) -> tuple[float, float]:
     The running product is renormalized so long words cannot overflow;
     the true trace magnitude is |tr| * exp(scale).
     """
-    mats = {1: A, 2: B, -1: _mat_inv(A), -2: _mat_inv(B)}
-    cur = ((1.0, 0.0), (0.0, 1.0))
+    (a1, b1), (c1, d1) = A
+    (a2, b2), (c2, d2) = B
+    # each matrix as its row-major 4-tuple; the inverses are unimodular
+    mats = {1: (a1, b1, c1, d1), 2: (a2, b2, c2, d2),
+            -1: (d1, -b1, -c1, a1), -2: (d2, -b2, -c2, a2)}
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0
     scale = 0.0
     for x in letters:
-        cur = _mat_mul(cur, mats[x])
-        big = max(abs(cur[0][0]), abs(cur[0][1]), abs(cur[1][0]), abs(cur[1][1]))
+        e, f, g, h = mats[x]
+        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+        big = max(abs(a), abs(b), abs(c), abs(d))
         if big > 1e100:
-            cur = ((cur[0][0] / big, cur[0][1] / big),
-                   (cur[1][0] / big, cur[1][1] / big))
+            a, b, c, d = a / big, b / big, c / big, d / big
             scale += math.log(big)
-    return cur[0][0] + cur[1][1], scale
+    return a + d, scale
 
 
 def _length_from_trace(tr: float, scale: float) -> float:

@@ -35,9 +35,9 @@ from .intersect import (EdgePath, check_quadratic_bound, intersection,
 from .ribbon import SURFACE_PRESETS, surface
 from .words import (BallSpec, CyclicWord, InvariantViolation, Word, WordError,
                     _unchecked, _validate_letters, alphabet_letters,
-                    check_conjugacy_bound, _classes_with_roots,
-                    conjugates_in_ball, cyclic_reduce, reduce_letters, require,
-                    sphere_size)
+                    check_conjugacy_bound, conjugates_in_ball,
+                    cyclic_reduce, cyclically_reduced_count,
+                    primitive_class_count, reduce_letters, require, sphere_size)
 
 
 class ConfigError(ValueError):
@@ -248,8 +248,9 @@ def drift_estimate(mu: WalkDistribution, n: int, samples: int, seed: int) -> Dri
 
 EXPERIMENTS = ("self-int", "fixed-curve-int", "lifting", "spiral", "minimizer",
                "conj-ball")
-# most conjugacy classes a conj-ball run may enumerate, bounded before it
-# starts by the number of cyclically reduced words up to max(n_grid)
+# most conjugacy classes a conj-ball run may check, bounded before it starts
+# by the number of cyclically reduced words up to max(n_grid); it bounds the
+# slack lists, which hold one entry per class and radius
 MAX_CONJ_BALL_CLASSES = 10**6
 
 
@@ -344,11 +345,9 @@ def _require_int(name: str, value) -> None:
 
 def _exceeds_class_budget(rank: int, max_len: int) -> bool:
     """Whether the cyclically reduced words of length 1..``max_len``, an
-    upper bound on the classes, number more than ``MAX_CONJ_BALL_CLASSES``.
-    There are (2r-1)^k + 1 + (r-1)(1 + (-1)^k) of length k; the running sum
-    stops once it passes the budget."""
-    terms = ((2 * rank - 1) ** k + 1 + (rank - 1) * (1 + (-1) ** k)
-             for k in range(1, max_len + 1))
+    upper bound on the classes, number more than ``MAX_CONJ_BALL_CLASSES``;
+    the running sum stops once it passes the budget."""
+    terms = (cyclically_reduced_count(rank, k) for k in range(1, max_len + 1))
     return any(total > MAX_CONJ_BALL_CLASSES
                for total in itertools.accumulate(terms))
 
@@ -506,35 +505,32 @@ def _measure_one(payload):
 
 
 def _run_conj_ball(config: ExperimentConfig) -> ExperimentTable:
-    """Exhaustive check of the conjugacy-ball bound over every class with
-    ||c|| <= max word length in the grid and every radius n in the grid; a
-    class over the bound counts in ``violations`` and adds no slack.
+    """Check of the conjugacy-ball bound over every class with ||c|| <= max
+    word length in the grid and every radius n in the grid; a class over
+    the bound counts in ``violations`` and adds no slack.
 
-    The classes are streamed once.  Count and bound depend on a class only
-    through its length and primitive root length, so each (length, root
-    length, n) is counted and checked once, at its first class, and its
-    slack (None for a violation) is reused for the rest of its group."""
+    Count and bound depend on a class only through its length l and root
+    length R, and the (l, R) group holds P(R) = ``primitive_class_count``
+    classes, so none is enumerated: each (l, R, n) is checked once, at
+    (x^(R-1) y)^(l/R) for the two least letters x < y, with weight P(R)."""
+    least, nxt = sorted(alphabet_letters(config.rank))[:2]
     slacks = {n: [] for n in config.n_grid}
-    by_group = {}
     violations = classes = 0
-    for c, root_len in _classes_with_roots(max(config.n_grid), config.rank):
-        classes += 1
-        length = len(c)
-        for n in config.n_grid:
-            if length > n:
+    for length in range(1, max(config.n_grid) + 1):
+        for root_len in (d for d in range(1, length + 1) if length % d == 0):
+            size = primitive_class_count(config.rank, root_len)
+            if not size:  # rank 1 has no primitive class longer than 1
                 continue
-            key = (length, root_len, n)
-            if key not in by_group:
-                count = conjugates_in_ball(c, n)
+            classes += size
+            c = CyclicWord(((least,) * (root_len - 1) + (nxt,))
+                           * (length // root_len), config.rank)
+            for n in [n for n in config.n_grid if n >= length]:
                 try:
-                    by_group[key] = check_conjugacy_bound(c, n, count)
+                    slack = check_conjugacy_bound(c, n, conjugates_in_ball(c, n))
                 except InvariantViolation:
-                    by_group[key] = None
-            slack = by_group[key]
-            if slack is None:
-                violations += 1
-            else:
-                slacks[n].append(slack)
+                    violations += size
+                else:
+                    slacks[n] += [slack] * size
     return _table(config, slacks, {"violations": violations,
                                    "classes_checked": classes})
 

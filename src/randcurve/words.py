@@ -12,11 +12,13 @@ cancelling pair ``x, -x``, so only canonical representatives are ever built;
 its generator ``_classes_with_roots`` also yields each class's primitive root
 length, the necklace's period, which the recursion already tracks.
 ``conjugates_in_ball`` counts a class's elements in a Cayley-graph ball in
-closed form, from the class's primitive root and the rank.
+closed form, from the class's primitive root and the rank, and
+``primitive_class_count`` the classes of a given primitive root length.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import isqrt
 
@@ -305,6 +307,24 @@ def sphere_size(spec: BallSpec) -> int:
     if k == 0:
         return 1
     return 2 * r * (2 * r - 1) ** (k - 1)
+
+
+def cyclically_reduced_count(rank: int, k: int) -> int:
+    """Number of cyclically reduced words of length ``k`` >= 1: the trace of
+    the no-cancellation transfer matrix, (2r-1)^k + r + (r-1)(-1)^k."""
+    return (2 * rank - 1) ** k + rank + (rank - 1) * (-1) ** k
+
+
+@functools.cache
+def primitive_class_count(rank: int, k: int) -> int:
+    """Number P(k) of conjugacy classes whose primitive root has length
+    ``k``: a primitive class of length d has d rotations, and the cyclically
+    reduced words of length k number the sum of d * P(d) over d | k."""
+    rest = cyclically_reduced_count(rank, k) - sum(
+        d * primitive_class_count(rank, d) for d in range(1, k // 2 + 1) if k % d == 0)
+    require(rest % k == 0, f"primitive words of length {k} at rank {rank} "
+            f"number {rest}, not a multiple of {k}")
+    return rest // k
 
 
 def ball_size(spec: BallSpec) -> int:

@@ -106,6 +106,46 @@ def test_long_word_lengths_do_not_overflow():
     assert 500 < val < 5000 and math.isfinite(val)
 
 
+def _nested_word_trace(letters, A, B):
+    """Oracle for ``_word_trace``: the running product as nested 2x2
+    tuples, renormalized at the same threshold."""
+    def mul(m, n):
+        return ((m[0][0] * n[0][0] + m[0][1] * n[1][0],
+                 m[0][0] * n[0][1] + m[0][1] * n[1][1]),
+                (m[1][0] * n[0][0] + m[1][1] * n[1][0],
+                 m[1][0] * n[0][1] + m[1][1] * n[1][1]))
+
+    def inv(m):
+        return ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
+
+    mats = {1: A, 2: B, -1: inv(A), -2: inv(B)}
+    cur = ((1.0, 0.0), (0.0, 1.0))
+    scale = 0.0
+    for x in letters:
+        cur = mul(cur, mats[x])
+        big = max(abs(cur[0][0]), abs(cur[0][1]), abs(cur[1][0]), abs(cur[1][1]))
+        if big > 1e100:
+            cur = ((cur[0][0] / big, cur[0][1] / big),
+                   (cur[1][0] / big, cur[1][1] / big))
+            scale += math.log(big)
+    return cur[0][0] + cur[1][1], scale
+
+
+def test_word_trace_matches_nested_product_bit_for_bit():
+    rng = random.Random(7)
+    letters = alphabet_letters(2)
+    # a point of the cusped locus and an off-locus triple with irrational entries
+    for A, B in (holonomy(FrickePoint(3, 3, 6)), fricke._holonomy_raw(3.7, 4.1, 5.3)):
+        for length in (1, 2, 5, 17, 60, 400):
+            for _ in range(5):
+                w = tuple(rng.choice(letters) for _ in range(length))
+                assert fricke._word_trace(w, A, B) == _nested_word_trace(w, A, B)
+        # long enough that the running product is renormalized
+        tr, scale = fricke._word_trace((1, 2) * 200, A, B)
+        assert (tr, scale) == _nested_word_trace((1, 2) * 200, A, B)
+        assert scale > 0
+
+
 def test_collar_width():
     assert abs(collar_width(2 * math.asinh(1.0)) - math.asinh(1.0)) < 1e-12
     assert collar_width(0.01) > collar_width(0.1)

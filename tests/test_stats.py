@@ -460,7 +460,8 @@ def test_conj_ball_output_bytes_pinned(tmp_path, rank, grid, csv, meta_sha256,
     assert t.metadata["violations"] == 0
 
 
-@pytest.mark.parametrize("rank, grid", [(2, (4, 6, 8, 10)), (3, (3, 5))])
+@pytest.mark.parametrize("rank, grid", [(2, (4, 6, 8, 10)), (3, (3, 5)),
+                                        (1, (3, 7)), (4, (2, 4))])
 def test_conj_ball_grouped_table_matches_per_class(rank, grid):
     # oracle: count and check every (class, n) on its own
     cfg = ExperimentConfig(experiment="conj-ball", n_grid=grid, samples=1,
@@ -484,10 +485,10 @@ def test_config_rejects_repeated_radius():
 
 
 def test_conj_ball_class_budget(monkeypatch):
-    def enumerate_nothing(*args):
-        raise AssertionError("a refused config enumerated classes")
+    def count_nothing(*args):
+        raise AssertionError("a refused config counted classes")
 
-    monkeypatch.setattr(stats, "_classes_with_roots", enumerate_nothing)
+    monkeypatch.setattr(stats, "primitive_class_count", count_nothing)
     for rank, n in ((26, 40), (2, 13), (2, 10**9), (1, 10**6)):
         with pytest.raises(ConfigError, match="may enumerate more than"):
             ExperimentConfig(experiment="conj-ball", n_grid=(4, n),

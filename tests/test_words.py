@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,8 +9,8 @@ from randcurve.ribbon import punctured_torus
 from randcurve.words import (BallSpec, CyclicWord, Word, WordError,
                              _classes_with_roots, alphabet_letters, ball_size,
                              conjugates_in_ball, cyclic_classes, cyclic_reduce,
-                             least_rotation, reduce, satisfies_no_cancellation,
-                             sphere_size)
+                             least_rotation, primitive_class_count, reduce,
+                             satisfies_no_cancellation, sphere_size)
 
 
 def W(s, rank=2):
@@ -223,6 +224,19 @@ def test_classes_with_roots_match_primitive_root(max_len, rank):
     assert [c for c, _ in pairs] == list(cyclic_classes(max_len, rank))
     for c, root_len in pairs:
         assert root_len == len(c.primitive_root()[0]), c
+
+
+@pytest.mark.parametrize("rank, max_len", [(1, 12), (2, 9), (3, 6), (4, 5)])
+def test_primitive_class_count_matches_enumeration(rank, max_len):
+    # oracle: the (length, root length) tally of the necklace enumeration
+    tally = Counter((len(c), root_len)
+                    for c, root_len in _classes_with_roots(max_len, rank))
+    for length in range(1, max_len + 1):
+        for root_len in range(1, length + 1):
+            if length % root_len == 0:
+                assert primitive_class_count(rank, root_len) == \
+                    tally[length, root_len], (rank, length, root_len)
+    assert all(length % root_len == 0 for length, root_len in tally)
 
 
 def test_cyclic_classes_edge_cases():
