@@ -4,17 +4,20 @@ Two strands passing through a vertex of the thickened graph cross exactly
 when their four ends interleave in the circular order that the fattening
 induces on the ends of the universal cover (a tree); this is the
 linked-pair criterion of Cohen-Lustig.  The kernel sorts the two ends of
-every vertex passage of a path once, by first dart and turn sequence; a
-passage owns the interval between its two ends, and two passages are linked
-when their intervals overlap.  The intervals and linked masks are kept for
-the last path (``linked_passages``), so a lifting sample's self-intersection
-and cover search share one sort of its root's ends.  Two crossing
-lines share a segment of one or more vertices; a linked pair counts only
-at the vertex where that segment starts, so each crossing is counted once
-with integers alone.  The self-intersection of a primitive path is half
-its ordered count; a proper power w^k is handled by the k-parallel-strand
-cable model, contributing k^2 crossings per base crossing plus k-1 for
-closing the cable.
+every vertex passage of a path once.  Each step between darts of a graph has
+one character, its step code, so an end's key is a slice of its path's
+string of codes; the keys are cut to 32 codes and widened only while two of
+them are equal.  A passage owns the interval between its two ends, and two
+passages are linked when their intervals overlap.  The intervals and linked
+masks are kept for the last path (``linked_passages``), so a lifting
+sample's self-intersection and cover search share one sort of its root's
+ends.  Two crossing lines share a segment of one or more vertices; a linked
+pair counts only at the vertex where that segment starts, which the block
+of ends leaving by one dart tells, so each crossing is counted once with
+integers alone.  The self-intersection of a primitive path is half its
+ordered count; a proper power w^k is handled by the k-parallel-strand cable
+model, contributing k^2 crossings per base crossing plus k-1 for closing
+the cable.
 
 ``spiraling`` reads the same circular order of ends.  A lift that runs s
 darts along the axis of a simple core, whose root has c darts, and leaves
@@ -68,15 +71,17 @@ class EdgePath:
     darts: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "darts", tuple(self.darts))
-        g = self.graph
-        n = len(self.darts)
-        if n == 0:
+        darts = tuple(self.darts)
+        object.__setattr__(self, "darts", darts)
+        if not darts:
             raise IntersectionError("trivial path has no darts")
-        for i, d in enumerate(self.darts):
+        g = self.graph
+        if _steps(g)[1].issuperset(zip(darts, darts[1:] + darts[:1])):
+            return
+        for d in darts:
             if not 0 <= d < g.dart_count:
                 raise IntersectionError(f"dart {d} not in graph")
-            nd = self.darts[(i + 1) % n]
+        for d, nd in zip(darts, darts[1:] + darts[:1]):
             if g.vertex_of[g.pair[d]] != g.vertex_of[nd]:
                 raise IntersectionError("path darts are not head-to-tail")
             if nd == g.pair[d]:
@@ -84,7 +89,7 @@ class EdgePath:
 
     @classmethod
     def from_word(cls, w: Word | CyclicWord, g: RibbonGraph) -> "EdgePath":
-        return cls(g, tuple(g.dart_for_letter(x) for x in cyclic_reduce(w).letters))
+        return cls(g, _darts_of(cyclic_reduce(w).letters, g))
 
     def __len__(self) -> int:
         return len(self.darts)
@@ -109,6 +114,15 @@ class EdgePath:
         return min(keys)
 
 
+def _darts_of(letters, g: RibbonGraph) -> tuple[int, ...]:
+    """The dart of each letter; ``RibbonError`` for a letter with none."""
+    dart_of_letter = g._dart_of_letter
+    try:
+        return tuple([dart_of_letter[x] for x in letters])
+    except KeyError as exc:
+        raise RibbonError(f"no dart labeled {exc.args[0]}") from None
+
+
 # --- linked-pair kernel ------------------------------------------------------
 #
 # Passage i of a closed dart path D is its visit to the vertex dart D[i]
@@ -119,48 +133,90 @@ class EdgePath:
 # position of r counted counterclockwise from pair[q] at their vertex.  Ends
 # sorted by (vertex of the first dart, position of that dart, turns) lie
 # around each lifted vertex in the circular order of the tree's boundary.
+#
+# Each legal step q -> r of a graph (r leaves the vertex q arrives at and is
+# not pair[q]) has one character, its step code, numbered in the order of
+# (vertex-major rank of q, turn into r).  An end's key is the string of the
+# codes of its steps.  Once two keys agree on their first codes, the ends
+# agree on the darts those steps reach, so the next codes compare their
+# turns: keys sort in the order above.  The codes are code points, below
+# 0x110000, so the number of steps, sum over vertices of deg (deg - 1), may
+# not exceed 1,114,112: sum deg^2 <= 0x110000 suffices, and one vertex may
+# have degree 1,055.  ``_steps`` refuses a larger graph.  A cover's vertices
+# have the degrees of the base's, at most 52 on a rose.
+#
 # The ends of a path are periodic with its length, so two distinct ends of
 # paths of lengths nu and nv differ within nu + nv - 1 darts (Fine-Wilf),
-# and 2 * max(nu, nv) - 1 turns decide every comparison.
+# and m = 2 * max(nu, nv) - 1 codes decide every comparison.  Most ends
+# differ within a few darts, so the keys are cut to h = min(32, m) codes and
+# widened fourfold, up to m, only while two are equal: distinct prefixes
+# decide every comparison.  Equal full keys are equal ends, which only
+# powers of one root have; they are ordered by passage.
+#
+# The ends that leave by one dart b are consecutive in that order, and no
+# passage has both ends among them (its path would backtrack), so the XOR of
+# 1 << j over them is the mask of the passages touching b.
 
-def _sorted_ends(g: RibbonGraph, paths) -> list[int]:
-    """The passages of ``paths``, numbered consecutively over the paths,
-    listed in the order of their ends: each passage appears twice, once for
-    its forward end and once for its backward end."""
-    pair = g.pair
-    pos = g._pos_in_vertex
-    deg = [len(g.vertices[v]) for v in g.vertex_of]
-    rank = [0] * g.dart_count  # darts in vertex-major circular order
+@lru_cache(maxsize=16)
+def _steps(g: RibbonGraph):
+    """The step codes of ``g``, ``codes[q][r]``, and its legal steps as a
+    set of pairs (q, r)."""
+    size = sum(len(cyc) * (len(cyc) - 1) for cyc in g.vertices)
+    if size > 0x110000:
+        raise IntersectionError(
+            f"{size} steps between darts exceed the 0x110000 step codes of "
+            "the linked-pair kernel")
+    pair, pos = g.pair, g._pos_in_vertex
+    codes = [None] * g.dart_count
     k = 0
     for cyc in g.vertices:
-        for d in cyc:
-            rank[d] = k
-            k += 1
+        for q in cyc:
+            head = g.vertices[g.vertex_of[pair[q]]]
+            p, n = pos[pair[q]], len(head)
+            codes[q] = {head[(p + t) % n]: chr(k + t - 1) for t in range(1, n)}
+            k += n - 1
+    return tuple(codes), frozenset((q, r) for q, row in enumerate(codes)
+                                  for r in row)
+
+
+def _sorted_ends(g: RibbonGraph, paths) -> tuple[list[int], list[int]]:
+    """The passages of ``paths``, numbered consecutively over the paths,
+    listed in the order of their ends: each passage appears twice, once for
+    its forward end and once for its backward end; and the first dart of
+    each end, in the same order."""
+    codes = _steps(g)[0]
+    pair = g.pair
     m = 2 * max(map(len, paths)) - 1
-    ends = []
+    runs, owners, firsts = [], [], []  # runs: (codes, where each end starts)
     first = 0
     for darts in paths:
         n = len(darts)
-        back = tuple(pair[d] for d in reversed(darts))
-        # the forward end at index i of ``back`` is the backward end B_{-i}
-        for seq, sign in ((darts, 1), (back, -1)):
-            # a turn lies in 1..deg-1, one character each: strings compare
-            # by code point, so in the order of the turns
-            enc = "".join([chr((pos[d] - pos[pair[q]]) % deg[d])
-                           for q, d in zip(seq[-1:] + seq[:-1], seq)])
-            enc *= m // n + 2
-            for i, d in enumerate(seq):
-                ends.append((rank[d], enc[i + 1:i + 1 + m], first + sign * i % n))
+        back = [pair[d] for d in reversed(darts)]
+        # B_j is the end of ``back`` from index n - j (mod n: codes repeat)
+        for seq, starts in ((darts, range(n)), (back, range(n, 0, -1))):
+            enc = "".join([codes[q][r] for q, r in zip(seq, seq[1:] + seq[:1])])
+            runs.append((enc * (m // n + 2), starts))
+        owners += [*range(first, first + n)] * 2
+        firsts += darts
+        firsts += back[:1] + back[:0:-1]
         first += n
-    ends.sort()
-    return [owner for _, _, owner in ends]
+    h = min(32, m)
+    keys = [enc[i:i + h] for enc, starts in runs for i in starts]
+    while h < m and len(set(keys)) < len(keys):
+        h = min(4 * h, m)
+        keys = [enc[i:i + h] for enc, starts in runs for i in starts]
+    # the sort is stable, and the ends are listed by path, then by passage
+    # within each direction: equal full keys are ordered by passage
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return [*map(owners.__getitem__, order)], [*map(firsts.__getitem__, order)]
 
 
-def _passages(g: RibbonGraph, paths) -> tuple[list[int], list[int], list[int]]:
+def _passages(g: RibbonGraph, paths):
     """Passage i owns the interval from ``lo[i]`` to ``hi[i]``, the places of
     its ends in ``_sorted_ends``; bit j of ``masks[i]`` is set when passages
-    i and j are linked, that is, when their intervals overlap."""
-    order = _sorted_ends(g, paths)
+    i and j are linked, that is, when their intervals overlap, and bit j of
+    ``touch[i]`` when an end of passage j leaves by the first dart of B_i."""
+    order, firsts = _sorted_ends(g, paths)
     lo = [-1] * (len(order) // 2)
     hi = lo[:]
     prefix = [0]  # prefix[k]: XOR of 1 << j over the first k sorted ends
@@ -172,46 +228,46 @@ def _passages(g: RibbonGraph, paths) -> tuple[list[int], list[int], list[int]]:
             hi[j] = k
         x ^= 1 << j
         prefix.append(x)
-    return lo, hi, [prefix[h] ^ prefix[l + 1] for l, h in zip(lo, hi)]
+    cuts = [k for k in range(1, len(order)) if firsts[k] != firsts[k - 1]]
+    block = {firsts[a]: prefix[b] ^ prefix[a]
+             for a, b in zip([0, *cuts], [*cuts, len(order)])}
+    pair = g.pair
+    return (lo, hi, [prefix[h] ^ prefix[l + 1] for l, h in zip(lo, hi)],
+            [block[pair[d[i - 1]]] for d in paths for i in range(len(d))])
 
 
 @lru_cache(maxsize=1)
-def linked_passages(path: EdgePath) -> tuple[tuple[int, ...], ...]:
-    """``lo``, ``hi`` and ``masks`` of a primitive path's passages, kept for
-    the last path, because a lifting sample reads them for its
-    self-intersection and its cover search; tuples, since callers share them."""
+def _root_passages(path: EdgePath) -> tuple[tuple[int, ...], ...]:
+    """``_passages`` of a primitive path, kept for the last path, because a
+    lifting sample reads them for its self-intersection and its cover
+    search; tuples, since callers share them."""
     return tuple(map(tuple, _passages(path.graph, [path.darts])))
+
+
+def linked_passages(path: EdgePath) -> tuple[tuple[int, ...], ...]:
+    """``lo``, ``hi`` and ``masks`` of a primitive path's passages."""
+    return _root_passages(path)[:3]
 
 
 def linked_masks(path: EdgePath) -> tuple[int, ...]:
     """Per position of a primitive path, the bitmask of the positions whose
     passages are linked with it."""
-    return linked_passages(path)[2]
+    return _root_passages(path)[2]
 
 
-def _ordered_crossings(g: RibbonGraph, paths, masks, sources,
-                       targets: int) -> int:
-    """Linked ordered pairs (s, t), s in ``sources`` and t a bit of
+def _ordered_crossings(masks, touch, targets: int) -> int:
+    """Linked ordered pairs (s, t), s a passage of ``masks`` and t a bit of
     ``targets``, whose lines' shared segment starts at the vertex of the
-    passages: B_s(0) is neither B_t(0) nor F_t(0).
+    passages: B_s(0) is neither B_t(0) nor F_t(0), so t is not in
+    ``touch[s]``.
 
     Each crossing of two lines shares a segment of one or more vertices and
     is seen at each of them; the start rule keeps the first vertex along s.
     Equal ends (powers of one root) belong to passages on one line, which the
-    start rule always skips.  ``masks`` are the linked masks of ``paths``.
+    start rule always skips.  ``masks`` and ``touch`` are those of
+    ``_passages``.
     """
-    pair = g.pair
-    first_darts = [(pair[d[i - 1]], d[i]) for d in paths for i in range(len(d))]
-    touching = {}  # dart -> targets whose chord at this vertex uses the dart
-    for t, ends in enumerate(first_darts):
-        if targets >> t & 1:
-            for x in ends:
-                touching[x] = touching.get(x, 0) | 1 << t
-    count = 0
-    for s in sources:
-        b = first_darts[s][0]
-        count += (masks[s] & (targets ^ touching.get(b, 0))).bit_count()
-    return count
+    return sum([(m & targets & ~t).bit_count() for m, t in zip(masks, touch)])
 
 
 def self_intersection(p: EdgePath) -> int:
@@ -223,8 +279,8 @@ def self_intersection(p: EdgePath) -> int:
     """
     root, k = p.primitive_root()
     n = len(root)
-    ordered = _ordered_crossings(root.graph, [root.darts], linked_masks(root),
-                                 range(n), (1 << n) - 1)
+    _, _, masks, touch = _root_passages(root)
+    ordered = _ordered_crossings(masks, touch, (1 << n) - 1)
     require(ordered % 2 == 0, "odd ordered crossing count: invariant violated")
     return k * k * (ordered // 2) + (k - 1)
 
@@ -246,17 +302,17 @@ def check_invariance(p: EdgePath, i: int, shift: int) -> None:
 
 def intersection(p: EdgePath, q: EdgePath) -> int:
     """Geometric intersection number of two distinct unoriented classes."""
-    if p.graph is not q.graph and p.graph.label != q.graph.label:
+    g, h = p.graph, q.graph
+    if g is not h and (g.nxt, g.pair, g.label) != (h.nxt, h.pair, h.label):
         raise IntersectionError("paths live on different graphs")
-    if p.class_key() == q.class_key():
+    if len(p) == len(q) and p.class_key() == q.class_key():
         raise IntersectionError(
             "classes agree up to conjugacy and inversion; use self_intersection")
     ru, k = p.primitive_root()
     rv, m = q.primitive_root()
     nu, nv = len(ru), len(rv)
-    paths = [ru.darts, rv.darts]
-    count = _ordered_crossings(p.graph, paths, _passages(p.graph, paths)[2],
-                               range(nu), ((1 << nv) - 1) << nu)
+    _, _, masks, touch = _passages(g, [ru.darts, rv.darts])
+    count = _ordered_crossings(masks[:nu], touch, ((1 << nv) - 1) << nu)
     return k * m * count
 
 
@@ -354,11 +410,7 @@ def _dart_text(gamma: CyclicWord, g: RibbonGraph):
     spiraling of one sample around each core reads them.  Raises
     ``RibbonError`` for a letter with no dart; an error is not cached, so it
     raises again on every call."""
-    dart_of_letter = g._dart_of_letter
-    try:
-        d = tuple([dart_of_letter[x] for x in gamma.letters])
-    except KeyError as exc:
-        raise RibbonError(f"no dart labeled {exc.args[0]}") from None
+    d = _darts_of(gamma.letters, g)
     return d, "".join(map(chr, d)), gamma.primitive_root()[0].letters
 
 
@@ -419,9 +471,9 @@ def _end_order(g: RibbonGraph, d, p: int, q: int) -> int:
     """Orientation (+1 counterclockwise) of the end back along ``d[q-1]``,
     the backward end at ``p`` and the forward end at ``q``, which leave one
     vertex: the first darts where the two ends differ, counterclockwise from
-    the dart both arrived by (the turns of ``_sorted_ends``).  Both ends have
-    period len(d), so len(d) darts decide; equal ends would make the class
-    conjugate to its inverse."""
+    the dart both arrived by (the turns that order the step codes of
+    ``_sorted_ends``).  Both ends have period len(d), so len(d) darts decide;
+    equal ends would make the class conjugate to its inverse."""
     L = len(d)
     prev = d[q - 1]
     for j in range(L):

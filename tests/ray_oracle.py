@@ -8,6 +8,11 @@ by 1/overlap; ``tests/test_kernel.py`` checks ``self_intersection`` and
 translate-counting oracle for ``spiraling`` from the same rays.  The file
 name has no ``test_`` prefix, so pytest imports it from the tests but does
 not collect it.
+
+``_sorted_ends`` is the kernel's former end order, one tuple key (rank of
+the first dart, turns, passage) per end with every key 2 * max(len) - 1
+turns long; ``tests/test_kernel.py`` checks the string-keyed order of
+``intersect._sorted_ends`` against it.
 """
 
 from randcurve.intersect import EdgePath
@@ -109,3 +114,36 @@ def primitive_self_count(path: EdgePath) -> int:
     if total.denominator != 1:
         raise AssertionError("non-integral crossing count: invariant violated")
     return int(total)
+
+
+def _sorted_ends(g: RibbonGraph, paths) -> list[int]:
+    """The passages of ``paths``, numbered consecutively over the paths,
+    listed in the order of their ends: each passage appears twice, once for
+    its forward end and once for its backward end."""
+    pair = g.pair
+    pos = g._pos_in_vertex
+    deg = [len(g.vertices[v]) for v in g.vertex_of]
+    rank = [0] * g.dart_count  # darts in vertex-major circular order
+    k = 0
+    for cyc in g.vertices:
+        for d in cyc:
+            rank[d] = k
+            k += 1
+    m = 2 * max(map(len, paths)) - 1
+    ends = []
+    first = 0
+    for darts in paths:
+        n = len(darts)
+        back = tuple(pair[d] for d in reversed(darts))
+        # the forward end at index i of ``back`` is the backward end B_{-i}
+        for seq, sign in ((darts, 1), (back, -1)):
+            # a turn lies in 1..deg-1, one character each: strings compare
+            # by code point, so in the order of the turns
+            enc = "".join([chr((pos[d] - pos[pair[q]]) % deg[d])
+                           for q, d in zip(seq[-1:] + seq[:-1], seq)])
+            enc *= m // n + 2
+            for i, d in enumerate(seq):
+                ends.append((rank[d], enc[i + 1:i + 1 + m], first + sign * i % n))
+        first += n
+    ends.sort()
+    return [owner for _, _, owner in ends]

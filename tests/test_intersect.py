@@ -7,8 +7,8 @@ from randcurve.intersect import (BudgetExceeded, EdgePath, IntersectionError,
                                  _dart_text, _simple_core, brute_min_crossings,
                                  check_invariance, intersection,
                                  self_intersection, spiraling)
-from randcurve.ribbon import (PermRep, RibbonError, genus2_boundary1,
-                              pair_of_pants, punctured_torus)
+from randcurve.ribbon import (PermRep, RibbonError, RibbonGraph, cover,
+                              genus2_boundary1, pair_of_pants, punctured_torus)
 from randcurve.stats import uniform_reduced_word
 from randcurve.words import CyclicWord, Word, alphabet_letters, cyclic_classes, \
     cyclic_reduce, least_rotation
@@ -55,6 +55,36 @@ def test_edge_path_validation():
     p = P("ab")
     assert len(p) == 2
     assert p.inverse().class_key() == p.class_key()
+
+
+def test_edge_path_error_messages():
+    n = PT.dart_count
+    for darts in ((n, 0), (0, n)):
+        with pytest.raises(IntersectionError, match=f"^dart {n} not in graph$"):
+            EdgePath(PT, darts)
+    for darts in ((-1, 0), (0, -1)):
+        with pytest.raises(IntersectionError, match="^dart -1 not in graph$"):
+            EdgePath(PT, darts)
+    # sheet 0 of the a-edge leads to sheet 1, where dart 2 (b, sheet 0) is not
+    two_sheets = cover(PT, PermRep(2, ((1, 0), (0, 1))))
+    with pytest.raises(IntersectionError,
+                       match="^path darts are not head-to-tail$"):
+        EdgePath(two_sheets, (0, 2))
+    with pytest.raises(IntersectionError, match="^path backtracks$"):
+        EdgePath(PT, (0, PT.pair[0]))
+    with pytest.raises(RibbonError, match="^no dart labeled 3$"):
+        EdgePath.from_word(CyclicWord.from_string("abc", 3), PT)
+
+
+def test_graph_past_the_step_codes_is_refused():
+    # one vertex of 1,058 darts has 1,058 * 1,057 steps between darts, more
+    # than the 0x110000 code points the kernel's step codes may use
+    n = 1058
+    text = "vertex " + " ".join(map(str, range(n))) + "\n" + "".join(
+        f"edge {d} {d + 1} a\n" for d in range(0, n, 2))
+    g = RibbonGraph.from_text(text)
+    with pytest.raises(IntersectionError, match="0x110000"):
+        self_intersection(EdgePath(g, (0, 2)))
 
 
 def test_trivial_path_errors():
@@ -143,6 +173,39 @@ def test_intersection_errors_on_equal_classes():
     # inversion also counts as equal
     with pytest.raises(IntersectionError):
         intersection(P("ab"), P("ab").inverse())
+
+
+def test_intersection_compares_classes_of_equal_length_only(monkeypatch):
+    # an inverse conjugate has the length of the class, and still raises
+    with pytest.raises(IntersectionError, match="agree up to conjugacy"):
+        intersection(P("aab"), P("ABA"))
+    # distinct classes of one length still compute
+    pu, pv = P("aab"), P("abb")
+    assert intersection(pu, pv) == (brute_min_crossings([pu, pv])
+                                    - brute_min_crossings(pu)
+                                    - brute_min_crossings(pv))
+
+    # classes of different lengths differ: no class key is built
+    pairs = [(P("a"), P("ab")), (P("aabab"), P("b")), (P("aabb"), P("ab"))]
+    expected = [intersection(pu, pv) for pu, pv in pairs]
+
+    def refuse(self):
+        raise AssertionError("class key built")
+
+    monkeypatch.setattr(EdgePath, "class_key", refuse)
+    assert [intersection(pu, pv) for pu, pv in pairs] == expected
+
+
+def test_intersection_needs_one_graph():
+    # two degree-2 covers whose darts carry the same labels, glued apart
+    c1 = cover(PT, PermRep(2, ((1, 0), (0, 1))))
+    c2 = cover(PT, PermRep(2, ((0, 1), (1, 0))))
+    assert c1.label == c2.label and c1.pair != c2.pair
+    with pytest.raises(IntersectionError, match="different graphs"):
+        intersection(EdgePath(c1, (0, 1)), EdgePath(c2, (0, 0)))
+    # the same graph built twice is one graph
+    again = RibbonGraph.rose("abAB")
+    assert intersection(P("a"), EdgePath.from_word(C("b"), again)) == 1
 
 
 def test_intersection_symmetric_and_matches_oracle():

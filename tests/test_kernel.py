@@ -5,7 +5,10 @@
 - ``self_intersection`` against ``ray_oracle.primitive_self_count``, which
   weights linked passage pairs by 1/overlap instead of reading the start of
   the shared segment;
-- ``intersection`` against the band-diagram brute force.
+- ``intersection`` against the band-diagram brute force;
+- the string-keyed end order of ``_sorted_ends`` against the tuple-keyed
+  order of ``ray_oracle._sorted_ends``, which keys every end by its first
+  dart's rank and 2 * max(len) - 1 turns.
 """
 
 import itertools
@@ -13,16 +16,21 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
-from randcurve.intersect import (EdgePath, brute_min_crossings, intersection,
+from randcurve import intersect
+from randcurve.intersect import (EdgePath, _sorted_ends, _steps,
+                                 brute_min_crossings, intersection,
                                  linked_masks, self_intersection)
 from randcurve.ribbon import (PermRep, RibbonGraph, elevations,
                               genus2_boundary1, pair_of_pants, punctured_torus)
 from randcurve.words import CyclicWord, Word, alphabet_letters, cyclic_classes, \
     cyclic_reduce
-from ray_oracle import (_backward_ray, _forward_ray, _linked,
-                        primitive_self_count)
+from randcurve.stats import uniform_reduced_word
+from ray_oracle import _backward_ray, _forward_ray, _linked
+from ray_oracle import _sorted_ends as tuple_sorted_ends
+from ray_oracle import primitive_self_count
 
 PT, PP, G2 = punctured_torus(), pair_of_pants(), genus2_boundary1()
 PRESETS = (PT, PP, G2)
@@ -104,22 +112,29 @@ def test_self_count_matches_oracle_on_higher_rank():
         assert self_intersection(p) == primitive_self_count(p), p.darts
 
 
-def test_kernel_on_a_vertex_of_300_darts():
-    # turns above 255, and few letters so that ends agree for several darts
-    rng = random.Random(150)
+def rose_300_paths(seed, count):
+    """A one-vertex graph of 300 darts and ``count`` reduced closed paths on
+    it, each a power of a path of at most 8 darts out of 5: turns above 255,
+    and few darts so that ends agree for several darts."""
+    rng = random.Random(seed)
     order = list(alphabet_letters(150))
     rng.shuffle(order)
     g = RibbonGraph.rose(order)
-    pos = g._pos_in_vertex
-    top = 0
-    checked = 0
-    while checked < 400:
+    paths = []
+    while len(paths) < count:
         pool = rng.sample(range(g.dart_count), 5)
         base = [rng.choice(pool) for _ in range(rng.randrange(1, 9))]
         if any(g.pair[x] == y for x, y in zip(base, base[1:] + base[:1])):
             continue  # not a reduced closed path
-        p = EdgePath(g, tuple(base * rng.randrange(1, 4)))
-        checked += 1
+        paths.append(EdgePath(g, tuple(base * rng.randrange(1, 4))))
+    return g, paths
+
+
+def test_kernel_on_a_vertex_of_300_darts():
+    g, paths = rose_300_paths(150, 400)
+    pos = g._pos_in_vertex
+    top = 0
+    for p in paths:
         root, k = p.primitive_root()
         assert self_intersection(p) == \
             k * k * primitive_self_count(root) + k - 1, p.darts
@@ -172,6 +187,92 @@ def test_intersection_of_powers_of_one_root_matches_brute_force():
                 (root, k, m)
             nonzero += val > 0
     assert nonzero >= 4
+
+
+def assert_tuple_order(g, paths):
+    assert _sorted_ends(g, paths)[0] == tuple_sorted_ends(g, paths), paths
+
+
+def test_end_order_matches_tuple_keys_on_every_short_class():
+    for g in PRESETS:
+        for c in cyclic_classes(8):
+            assert_tuple_order(g, [EdgePath.from_word(c, g).darts])
+
+
+def test_end_order_matches_tuple_keys_on_two_paths():
+    # the roots that ``intersection`` sorts, with a root against itself and
+    # its inverse, whose ends are equal in pairs
+    roots = {EdgePath.from_word(c, g).primitive_root()[0]
+             for g in (PT, PP) for c in cyclic_classes(4)}
+    for pu, pv in itertools.product(roots, repeat=2):
+        if pu.graph is pv.graph:
+            assert_tuple_order(pu.graph, [pu.darts, pv.darts])
+            assert_tuple_order(pu.graph, [pu.darts, pv.inverse().darts])
+
+
+def test_end_order_matches_tuple_keys_on_covers_and_a_300_dart_vertex():
+    paths = elevation_paths(43, 100)
+    for p in paths:
+        assert_tuple_order(p.graph, [p.darts])
+    rng = random.Random(44)
+    letters = alphabet_letters(2)
+    phi = PermRep(3, ((1, 2, 0), (0, 2, 1)))
+    checked = 0
+    while checked < 40:  # elevations of one curve share their cover
+        c = cyclic_reduce(Word(tuple(rng.choice(letters)
+                                     for _ in range(rng.randrange(2, 12))), 2))
+        lifts = elevations(c, phi, PT) if len(c) else []
+        if len(lifts) > 1:
+            assert_tuple_order(lifts[0].cover, [e.darts for e in lifts])
+            checked += 1
+    g, paths = rose_300_paths(151, 200)
+    for p, q in zip(paths, paths[1:]):
+        assert_tuple_order(g, [p.darts])
+        assert_tuple_order(g, [p.darts, q.darts])
+
+
+def test_ends_agreeing_on_32_codes_widen_their_keys(monkeypatch):
+    checks = []  # (key width, whether two keys are equal) per check
+
+    def spy(keys):
+        out = set(keys)
+        checks.append((len(keys[0]), len(out) < len(keys)))
+        return out
+
+    monkeypatch.setattr(intersect, "set", spy, raising=False)
+    a40 = "a" * 40
+    cases = [
+        # ends in a run of a's agree on up to 39 codes: 32 tie, 128 do not
+        (a40 + "b" + a40 + "B", False, [(32, True), (128, False)]),
+        (a40 + "bb" + a40 + "BB", False, [(32, True), (128, False)]),
+        ("bbb" + a40, False, [(32, True)]),  # then full width, 85 codes
+        # a root against its inverse meets every end twice: full width, 81
+        # codes, and the ties stay
+        (a40 + "b", True, [(32, True)]),
+        ("aabbaBBAbab", False, []),  # 21 codes are full width at once
+    ]
+    for word, with_inverse, expected in cases:
+        checks.clear()
+        p = EdgePath.from_word(CyclicWord.from_string(word, 2), PT)
+        assert_tuple_order(PT, [p.darts, p.inverse().darts] if with_inverse
+                           else [p.darts])
+        assert checks == expected, word
+
+
+def test_sorted_ends_memory_on_a_long_walk():
+    # keys of 32 codes: the full keys of ``ray_oracle._sorted_ends``, of
+    # 2 * 2,100 - 1 turns each, peak at 17.5 MB on this walk
+    rng = random.Random(2050)
+    p = EdgePath.from_word(cyclic_reduce(uniform_reduced_word(rng, 2, 2100)), PT)
+    assert len(p) > 2000
+    _steps(PT)  # the graph's tables are not part of the call
+    tracemalloc.start()
+    try:
+        _sorted_ends(PT, [p.darts])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20, peak
 
 
 def test_kernel_runs_without_numpy():
