@@ -11,6 +11,18 @@ one Mersenne Twister output per word, so it holds the 2n outputs that n
 ``random()`` calls read, in their order.  The tests hold the draw to
 ``Random.choices`` as its oracle, so a Python whose word order differed
 would fail them rather than change the streams.
+
+A sampled family's value is a function of the sample's conjugacy class
+alone: integer counts, an exhaustive degree search and a minimizer that
+starts from fixed seeds.  So one ``run_experiment`` call measures each
+class short enough to repeat once and keeps its outcome and value in a
+memo.  Short enough means a length L with at most (samples *
+len(n_grid))^2 cyclically reduced words, which bound its classes; past that
+birthday bound two draws of one class are unlikely, so a longer class is
+measured per sample and never stored.  The memo is emptied when a run
+starts and when it ends, an exception included; under ``jobs > 1`` each
+worker keeps its own.  Checks that depend on the sample's n still run per
+sample.
 """
 
 from __future__ import annotations
@@ -452,55 +464,86 @@ def _fixed_curve(alpha: str, rank: int, surface_name: str):
             (root.letters, root.inverse().letters))
 
 
-def _measure_one(payload):
-    """One sample of a sampled family; top-level for pickling.
+# conjugacy class letters -> (outcome, value) of ``_measure_class``: the
+# classes of the current ``run_experiment`` call short enough to repeat
+_class_memo: dict = {}
 
-    ``payload`` is ``(config, probs, n, index)``.  Returns ``(n, outcome,
-    value, length)``: ``outcome`` is ``ok``, a lifting search's ``found`` or
-    ``not_found``, a minimizer status (``converged``, ``diverged`` or
-    ``budget``), or a skip reason (``trivial``, ``alpha-power``,
-    ``parabolic``); ``value`` is what the sample adds to its row (None if
-    nothing); ``length`` is the length of its reduced class.
-    """
-    config, probs, n, index = payload
+
+def _memo_length(config: ExperimentConfig) -> int:
+    """Longest class length a run memoizes: the greatest L <= max(n_grid)
+    with at most (samples * len(n_grid))^2 cyclically reduced words of
+    length L, a count that grows with L at rank >= 2 (0 if there is none)."""
+    draws = (config.samples * len(config.n_grid)) ** 2
+    return sum(1 for _ in itertools.takewhile(
+        lambda k: cyclically_reduced_count(config.rank, k) <= draws,
+        range(1, max(config.n_grid) + 1)))
+
+
+def _measure_class(config: ExperimentConfig, gamma: CyclicWord):
+    """``(outcome, value)`` of the nontrivial class ``gamma`` in the family
+    of ``config``: everything ``_measure_one`` does that depends on the
+    class alone."""
     family = config.experiment
     g = surface(config.surface)
-    gamma = cyclic_reduce(_sample_word(config.sampler, config.rank, probs, n,
-                                       config.seed, index))
-    if len(gamma) == 0:
-        return n, "trivial", None, 0
-    outcome, value = "ok", None
     if family == "self-int":
-        value = self_intersection(EdgePath.from_word(gamma, g))
-        check_quadratic_bound(value, n)
-    elif family == "fixed-curve-int":
+        return "ok", self_intersection(EdgePath.from_word(gamma, g))
+    if family == "fixed-curve-int":
         alpha_path, alpha_roots = _fixed_curve(config.alpha, config.rank,
                                                config.surface)
         if gamma.primitive_root()[0].letters in alpha_roots:
-            outcome = "alpha-power"
-        else:
-            value = intersection(EdgePath.from_word(gamma, g), alpha_path)
-    elif family == "lifting":
+            return "alpha-power", None
+        return "ok", intersection(EdgePath.from_word(gamma, g), alpha_path)
+    if family == "lifting":
         res = covers.simple_lifting_degree(gamma, g, d_max=config.d_max)
         if res.found:  # a not-found degree has no bounds to check
             # reads the root's linked passages that the search cached
             covers.check_degree_bounds(
                 res.degree, self_intersection(EdgePath.from_word(gamma, g)),
                 _max_spiraling(gamma, g))
-        outcome, value = ("found" if res.found else "not_found"), res.degree
-    elif family == "spiral":
-        value = _max_spiraling(gamma, g)
+        return ("found" if res.found else "not_found"), res.degree
+    if family == "spiral":
+        return "ok", _max_spiraling(gamma, g)
+    try:
+        res = fricke.minimize_length(gamma)
+    except fricke.ParabolicWordError:
+        # a power of the boundary curve has no hyperbolic length
+        return "parabolic", None
+    if res.status != "converged":
+        return res.status, None
+    require(res.grad_norm < fricke.GRAD_TOL,
+            f"converged minimizer has gradient norm {res.grad_norm}")
+    return res.status, fricke.distance_proxy(res.point, fricke.rose_minimizer())
+
+
+def _measure_one(payload):
+    """One sample of a sampled family; top-level for pickling.
+
+    ``payload`` is ``(config, probs, n, index, memo_len)``.  Draws the
+    sample, reduces its class, and takes the class's outcome and value from
+    ``_measure_class``, through ``_class_memo`` when the class is at most
+    ``memo_len`` long; the quadratic bound of a ``self-int`` value is
+    checked against the sample's own n, on a memo hit too.  Returns ``(n,
+    outcome, value, length)``: ``outcome`` is ``ok``, a lifting search's
+    ``found`` or ``not_found``, a minimizer status (``converged``,
+    ``diverged`` or ``budget``), or a skip reason (``trivial``,
+    ``alpha-power``, ``parabolic``); ``value`` is what the sample adds to
+    its row (None if nothing); ``length`` is the length of its reduced
+    class.
+    """
+    config, probs, n, index, memo_len = payload
+    gamma = cyclic_reduce(_sample_word(config.sampler, config.rank, probs, n,
+                                       config.seed, index))
+    if len(gamma) == 0:
+        return n, "trivial", None, 0
+    if len(gamma) > memo_len:
+        outcome, value = _measure_class(config, gamma)
     else:
-        try:
-            res = fricke.minimize_length(gamma)
-        except fricke.ParabolicWordError:
-            # a power of the boundary curve has no hyperbolic length
-            return n, "parabolic", None, len(gamma)
-        outcome = res.status
-        if outcome == "converged":
-            require(res.grad_norm < fricke.GRAD_TOL,
-                    f"converged minimizer has gradient norm {res.grad_norm}")
-            value = fricke.distance_proxy(res.point, fricke.rose_minimizer())
+        hit = _class_memo.get(gamma.letters)
+        if hit is None:
+            hit = _class_memo[gamma.letters] = _measure_class(config, gamma)
+        outcome, value = hit
+    if config.experiment == "self-int":
+        check_quadratic_bound(value, n)
     return n, outcome, value, len(gamma)
 
 
@@ -538,7 +581,10 @@ def _run_conj_ball(config: ExperimentConfig) -> ExperimentTable:
 def run_experiment(config: ExperimentConfig) -> ExperimentTable:
     """Monte Carlo table for one experiment family.
 
-    Each row summarizes the values of the samples at its n.  The outcomes
+    Each row summarizes the values of the samples at its n.  A class at
+    most ``_memo_length(config)`` long is measured once per run and its
+    outcome and value reused for its repeats; ``_class_memo`` is empty
+    again when the call returns or raises.  The outcomes
     of ``_measure_one`` are tallied per n: ``per_n`` records ``diverged``,
     ``budget``, ``converged``, ``not_found`` and ``found``, and
     ``deg2_or_more`` (``not_found`` plus the found degrees >= 2); ``extras``
@@ -548,18 +594,23 @@ def run_experiment(config: ExperimentConfig) -> ExperimentTable:
     """
     if config.experiment == "conj-ball":
         return _run_conj_ball(config)
-    probs = config.distribution().probs
-    payloads = [(config, probs, n, idx)
+    probs, memo_len = config.distribution().probs, _memo_length(config)
+    payloads = [(config, probs, n, idx, memo_len)
                 for n in config.n_grid for idx in range(config.samples)]
-    if config.jobs > 1:
-        # imported here: a process pool costs a single-job run its import
-        from concurrent.futures import ProcessPoolExecutor
+    # emptied before a pool forks, so each worker starts its own memo
+    _class_memo.clear()
+    try:
+        if config.jobs > 1:
+            # imported here: a process pool costs a single-job run its import
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.jobs) as ex:
-            results = list(ex.map(_measure_one, payloads,
-                                  chunksize=max(1, len(payloads) // (config.jobs * 8))))
-    else:
-        results = [_measure_one(p) for p in payloads]
+            with ProcessPoolExecutor(max_workers=config.jobs) as ex:
+                results = list(ex.map(_measure_one, payloads, chunksize=max(
+                    1, len(payloads) // (config.jobs * 8))))
+        else:
+            results = [_measure_one(p) for p in payloads]
+    finally:
+        _class_memo.clear()
     tally = {n: Counter() for n in config.n_grid}
     by_n = {n: [] for n in config.n_grid}
     for n, outcome, value, _ in results:

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import randcurve.covers as covers
 import randcurve.stats as stats
 from randcurve.fricke import ParabolicWordError, minimize_length
 from randcurve.intersect import IntersectionError, spiraling
@@ -22,9 +23,11 @@ from randcurve.stats import (ConfigError, ExperimentConfig,
                              _max_spiraling, _sample_word, drift_estimate,
                              fit_log_law, fit_power_law, random_walk,
                              run_experiment, sample_ball_uniform, sample_word)
-from randcurve.words import (BallSpec, CyclicWord, alphabet_letters, ball_size,
+from randcurve.words import (BallSpec, CyclicWord, InvariantViolation,
+                             alphabet_letters, ball_size,
                              check_conjugacy_bound, conjugates_in_ball,
-                             cyclic_classes, cyclic_reduce, sphere_size)
+                             cyclic_classes, cyclic_reduce,
+                             cyclically_reduced_count, sphere_size)
 
 
 def test_distribution_validation():
@@ -656,6 +659,113 @@ def test_invariant_checks_survive_optimize():
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1, proc.stderr
     assert "InvariantViolation: linear degree bound violated" in proc.stderr
+
+
+def _classes(cfg):
+    """The reduced class of every sample of ``cfg``, in payload order,
+    drawn independently of the harness."""
+    probs = cfg.distribution().probs
+    return [(n, cyclic_reduce(_sample_word(cfg.sampler, cfg.rank, probs, n,
+                                           cfg.seed, idx)).letters)
+            for n in cfg.n_grid for idx in range(cfg.samples)]
+
+
+def _counting(monkeypatch, module, name):
+    """Wrap ``module.name`` to record the memo size at each call."""
+    calls, original = [], getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(len(stats._class_memo))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_memo_length_is_the_birthday_bound():
+    # (samples * len(n_grid))^2 = 160000 >= |CR_10| = 3^10 + 3, < 3^11 + 1
+    grid = ExperimentConfig(experiment="lifting", n_grid=(6, 10, 14, 18, 22),
+                            samples=80, d_max=5)
+    assert stats._memo_length(grid) == 10
+    # 6400 < 3^8 + 3: the lifting-n40 benchmark config stops at 7
+    n40 = ExperimentConfig(experiment="lifting", n_grid=(40,), samples=80)
+    assert stats._memo_length(n40) == 7
+    # never past the longest class the grid can draw
+    tiny = ExperimentConfig(experiment="self-int", n_grid=(3,), samples=100)
+    assert stats._memo_length(tiny) == 3
+    genus2 = ExperimentConfig(experiment="self-int", n_grid=(20,), samples=50,
+                              rank=4, surface="genus2-boundary1")
+    assert stats._memo_length(genus2) == 4  # |CR_4| = 2408, |CR_5| = 16808
+
+
+def test_bound_check_runs_per_sample_on_memo_hits(monkeypatch):
+    cfg = ExperimentConfig(experiment="self-int", n_grid=(8, 4), samples=60)
+    classes = _classes(cfg)
+    assert stats._memo_length(cfg) == 8  # every class of the run is memoized
+    nontrivial = [(n, c) for n, c in classes if c]
+    assert len({c for _, c in nontrivial}) < len(nontrivial)
+    checks = _counting(monkeypatch, stats, "check_quadratic_bound")
+    measured = _counting(monkeypatch, stats, "self_intersection")
+    run_experiment(cfg)
+    assert len(checks) == len(nontrivial)
+    assert len(measured) == len({c for _, c in nontrivial})
+
+    # 7 is within n = 8's bound of 28 but over n = 4's bound of 6; the
+    # first nontrivial n = 4 sample repeats a class measured at n = 8
+    at8 = {c for n, c in nontrivial if n == 8}
+    first4 = next(c for n, c in nontrivial if n == 4)
+    assert first4 in at8
+    monkeypatch.setattr(stats, "self_intersection", lambda path: 7)
+    checks.clear()
+    measured = _counting(monkeypatch, stats, "self_intersection")
+    with pytest.raises(InvariantViolation, match="quadratic bound violated"):
+        run_experiment(cfg)
+    assert len(measured) == len(at8)  # the failing sample was a memo hit
+    assert len(checks) == sum(1 for n, _ in nontrivial if n == 8) + 1
+
+
+def test_class_memo_scope_on_a_lifting_run(monkeypatch):
+    cfg = ExperimentConfig(experiment="lifting", n_grid=(6, 10, 14),
+                           samples=40, d_max=3)
+    limit = max(k for k in range(1, 15)
+                if cyclically_reduced_count(2, k) <= (40 * 3) ** 2)
+    assert limit == stats._memo_length(cfg) == 8
+    nontrivial = [c for _, c in _classes(cfg) if c]
+    short = {c for c in nontrivial if len(c) <= limit}
+    long_samples = sum(1 for c in nontrivial if len(c) > limit)
+    assert len(short) < sum(1 for c in nontrivial if len(c) <= limit)
+    assert long_samples > 0
+    calls = _counting(monkeypatch, covers, "simple_lifting_degree")
+    first = run_experiment(cfg)
+    assert len(calls) == len(short) + long_samples
+    assert stats._class_memo == {}
+    calls.clear()
+    # an entry left from outside a run is never read
+    stats._class_memo.update(dict.fromkeys(short, ("found", 99)))
+    assert run_experiment(cfg).to_csv() == first.to_csv()
+    assert len(calls) == len(short) + long_samples
+    assert stats._class_memo == {}
+
+    def fail_late(gamma, g, d_max=6):
+        if len(calls) > 5:
+            raise InvariantViolation("forced")
+        return search(gamma, g, d_max=d_max)
+
+    search = covers.simple_lifting_degree
+    monkeypatch.setattr(covers, "simple_lifting_degree", fail_late)
+    with pytest.raises(InvariantViolation, match="forced"):
+        run_experiment(cfg)
+    assert stats._class_memo == {}
+
+
+def test_long_classes_bypass_the_memo(monkeypatch):
+    cfg = ExperimentConfig(experiment="self-int", n_grid=(200,), samples=3)
+    nontrivial = [c for _, c in _classes(cfg) if c]
+    assert stats._memo_length(cfg) < min(map(len, nontrivial))
+    calls = _counting(monkeypatch, stats, "self_intersection")
+    run_experiment(cfg)
+    assert len(calls) == len(nontrivial) == 3
+    assert calls == [0, 0, 0]  # nothing stored before each measurement
 
 
 # Sampler streams recorded before the samplers shared one draw: the same
