@@ -51,8 +51,8 @@ from itertools import permutations, product
 from math import factorial, prod
 
 from .ribbon import RibbonError, RibbonGraph
-from .words import (CyclicWord, InvariantViolation, Word, WordError, _period,
-                    cyclic_reduce, least_rotation, require)
+from .words import (CyclicWord, InvariantViolation, Word, WordError, _char_text,
+                    _period, cyclic_reduce, least_rotation, require)
 
 
 class IntersectionError(ValueError):
@@ -411,7 +411,7 @@ def _dart_text(gamma: CyclicWord, g: RibbonGraph):
     ``RibbonError`` for a letter with no dart; an error is not cached, so it
     raises again on every call."""
     d = _darts_of(gamma.letters, g)
-    return d, "".join(map(chr, d)), gamma.primitive_root()[0].letters
+    return d, _char_text(d), gamma.primitive_root()[0].letters
 
 
 @lru_cache(maxsize=1024)

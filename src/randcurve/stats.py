@@ -447,9 +447,11 @@ def _sample_word(cfg_sampler, rank, probs, n, seed, index) -> Word:
 def _max_spiraling(gamma: CyclicWord, g) -> int:
     """Largest spiraling of ``gamma`` around a generator other than its own
     primitive root (0 if there is none).  A cyclically reduced class is a
-    power of generator j exactly when its letters are all j or all -j."""
-    letters = set(gamma.letters)
-    own = abs(letters.pop()) if len(letters) == 1 else 0
+    power of generator j exactly when its letters are all j or all -j, that
+    is, all equal to its first letter."""
+    letters, own = gamma.letters, 0
+    if letters and letters.count(letters[0]) == len(letters):
+        own = abs(letters[0])
     return max((spiraling(gamma, CyclicWord((j,), g.rank), g)
                 for j in range(1, g.rank + 1) if j != own), default=0)
 

@@ -34,8 +34,9 @@ from .stats import (ExperimentConfig, WalkDistribution, _max_spiraling,
                     sample_ball_uniform, uniform_reduced_word)
 from .words import (BallSpec, CyclicWord, InvariantViolation, Word,
                     alphabet_letters, ball_size, check_conjugacy_bound,
-                    conjugates_in_ball, cyclic_classes, cyclic_reduce, reduce,
-                    require, satisfies_no_cancellation, sphere_size)
+                    conjugates_in_ball, cyclic_classes, cyclic_reduce,
+                    least_rotation, reduce, require, satisfies_no_cancellation,
+                    sphere_size)
 
 
 def verify_words(fast=True):
@@ -56,6 +57,21 @@ def verify_words(fast=True):
         for rot in c.rotations():
             require(cyclic_reduce(Word(rot, 2)).letters == c.letters,
                     "canonical form not rotation invariant")
+    # classes longer than RUN_TOKEN_CUT, whose least rotation scans run tokens
+    long_rng = random.Random(7)
+    for _ in range(20):
+        length = long_rng.randrange(80, 401)
+        c = cyclic_reduce(uniform_reduced_word(long_rng, 2, length))
+        rots = c.rotations()
+        rot = rots[long_rng.randrange(len(c))]
+        u = uniform_reduced_word(long_rng, 2, long_rng.randrange(1, 20))
+        conj = u.concat(Word(rot, 2)).concat(u.inverse())
+        require(cyclic_reduce(Word(rot, 2)).letters == c.letters
+                and cyclic_reduce(conj).letters == c.letters,
+                "long canonical form not rotation or conjugation invariant")
+        brute = min(range(len(rot)), key=lambda i: rot[i:] + rot[:i])
+        require(c.letters == min(rots) and least_rotation(rot) == brute,
+                "least rotation of a long class is not the least of its rotations")
     # sphere/ball closed forms
     require(sphere_size(BallSpec(2, 2)) == 12 and ball_size(BallSpec(2, 2)) == 17,
             "rank-2 ball sizes wrong")

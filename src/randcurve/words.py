@@ -4,8 +4,11 @@ Letters are nonzero signed integers: generator ``i`` is ``+i``, its inverse
 is ``-i``.  The string form uses ``a..z`` for generators and ``A..Z`` for
 inverses, so ranks up to 26 are supported.
 
-Conjugacy classes are ``CyclicWord``s in least-rotation form.  Their
-primitive roots, and those of edge paths, come from one period search.
+Conjugacy classes are ``CyclicWord``s in least-rotation form, found by a
+minimum expression scan over the letters of a class of up to
+``RUN_TOKEN_CUT`` = 64 letters and over the runs of its least letter past
+that.  Their primitive roots, and those of edge paths, come from one period
+search.
 ``cyclic_classes`` lists every class up to a given length with the
 Fredricksen-Kessler-Maiorana necklace recursion, cut at any prefix holding a
 cancelling pair ``x, -x``, so only canonical representatives are ever built;
@@ -18,7 +21,10 @@ closed form, from the class's primitive root and the rank, and
 
 from __future__ import annotations
 
+import codecs
 import functools
+import struct
+import sys
 from dataclasses import dataclass
 from math import isqrt
 
@@ -77,23 +83,48 @@ def _validate_letters(letters, rank: int) -> None:
 
 
 def reduce_letters(letters) -> tuple[int, ...]:
-    stack: list[int] = []
+    """The freely reduced form of ``letters``: one pass over a stack whose
+    bottom is ``None``, a sentinel that no letter cancels, so its top, also
+    kept in a local, is compared with no emptiness test."""
+    stack = [None]
+    top = None
     for x in letters:
-        if stack and stack[-1] == -x:
+        if top == -x:
             stack.pop()
+            top = stack[-1]
         else:
             stack.append(x)
-    return tuple(stack)
+            top = x
+    return tuple(stack[1:])
+
+
+# sequences longer than this take the run-token path of ``least_rotation``
+RUN_TOKEN_CUT = 64
+_BYTES = bytes(range(256))
+# the table that maps byte b to b ^ 0x80: a signed byte to an unsigned one of
+# the same order
+_FLIP = _BYTES[128:] + _BYTES[:128]
+# the decoder of code points packed as native 4-byte words
+_decode_utf32 = (codecs.utf_32_le_decode if sys.byteorder == "little"
+                 else codecs.utf_32_be_decode)
 
 
 def least_rotation(seq: tuple) -> int:
-    """Least index of the lexicographically least rotation.
+    """Least index of the lexicographically least rotation, by the minimum
+    expression scan of Shiloach (J. Algorithms 2, 1981): candidates i and j
+    agree on k items; at the first difference the larger one cannot start a
+    least rotation, nor can the k positions after it, so it jumps past them.
+    Linear time, one Python step per item scanned.
 
-    Two-pointer minimum expression: candidates i and j agree on k items;
-    at the first difference the larger one cannot start a least rotation,
-    nor can the k positions after it, so it jumps past them.  Linear time.
+    Up to ``RUN_TOKEN_CUT`` items the scan runs over the items.  Past it,
+    it runs over the run tokens of ``_run_tokens``, and their least index
+    maps back to a position.
     """
     n = len(seq)
+    runs = _run_tokens(seq) if n > RUN_TOKEN_CUT else None
+    if runs is not None:
+        p, r, seq = runs
+        n = len(seq)
     s = seq + seq
     i, j, k = 0, 1, 0
     while i < n and j < n and k < n:
@@ -108,7 +139,70 @@ def least_rotation(seq: tuple) -> int:
         if i == j:
             j += 1
         k = 0
-    return min(i, j)
+    t = min(i, j)
+    return t if runs is None else p + t * r + sum(map(len, seq[:t]))
+
+
+def _run_tokens(seq):
+    """``(p, r, tokens)`` that reduce the least rotation of ``seq`` to the
+    least rotation of ``tokens``: token t starts at position p + t*r plus
+    the lengths of tokens 0..t-1.  None when the items fit neither text.
+
+    The sequence becomes an order-preserving text once, in C: signed bytes
+    for items in -128..127, such as letters, and characters for other items
+    in 0..0x10FFFF, such as the darts of a cover.  Let m be the least item
+    and r the length of its longest cyclic run, found by substring searches
+    (doubling, then bisection).  A least rotation starts with m^r, so only
+    the starts of the runs m^r, each a maximal run, can win.  The text,
+    rotated to the first of them, p, splits on m^r into tokens, each what
+    follows a run m^r up to the next one.  Token order is the order of the
+    rotations that start there: where one token is a proper prefix of
+    another, the shorter is followed by m^r and the longer holds an item > m
+    within r places.  So the least rotation of the tokens, and among equal
+    ones the least token, is that of the items, at the least index, as no
+    run starts before p.  The searches take O(n log n) time in C at worst.
+    """
+    n = len(seq)
+    try:
+        text = struct.pack(f"{n}b", *seq).translate(_FLIP)
+        m = _least_byte(text)
+    except struct.error:
+        try:
+            text = _char_text(seq)
+        except (struct.error, ValueError):
+            return None
+        m = min(text)
+    twice = text + text
+    r = 1  # r <= longest run < 2r, then bisection
+    while m * (2 * r) in twice:
+        r *= 2
+        if r >= n:
+            return 0, 0, [m]  # one item repeated
+    hi = 2 * r
+    while hi - r > 1:
+        mid = (r + hi) // 2
+        if m * mid in twice:
+            r = mid
+        else:
+            hi = mid
+    run = m * r
+    p = twice.find(run)
+    return p, r, twice[p + r:p + n].split(run)
+
+
+def _char_text(seq) -> str:
+    """The string of the characters with code points ``seq``, converted in
+    C as 4-byte words; ``struct.error`` for an item that is not an integer
+    in 0..2^32-1 and ``UnicodeDecodeError`` for one past 0x10FFFF."""
+    return _decode_utf32(struct.pack(f"={len(seq)}I", *seq), "surrogatepass")[0]
+
+
+def _least_byte(text: bytes) -> bytes:
+    """The least byte of a nonempty ``text``: keep only the bytes below the
+    first one until none is left."""
+    while rest := text.translate(None, _BYTES[text[0]:]):
+        text = rest
+    return text[:1]
 
 
 def _period(seq) -> int:
@@ -231,12 +325,12 @@ def cyclic_reduce(w: Word | CyclicWord) -> CyclicWord:
     """Cyclically reduced canonical form of the conjugacy class of ``w``."""
     if isinstance(w, CyclicWord):
         return w
-    letters = list(reduce_letters(w.letters))
+    letters = reduce_letters(w.letters)
     i, j = 0, len(letters)
     while j - i >= 2 and letters[i] == -letters[j - 1]:
         i += 1
         j -= 1
-    core = tuple(letters[i:j])
+    core = letters[i:j]
     if not core:
         return CyclicWord((), w.rank)
     k = least_rotation(core)

@@ -626,6 +626,34 @@ def test_max_spiraling_matches_largest_over_generator_cores(name):
         assert _max_spiraling(c, g) == max(values, default=0), (name, w)
 
 
+def _max_spiraling_by_letter_set(gamma, g):
+    """``_max_spiraling`` by its definition: skip generator j when the set
+    of the class's letters is {j} or {-j}."""
+    letters = set(gamma.letters)
+    own = abs(letters.pop()) if len(letters) == 1 else 0
+    return max((spiraling(gamma, CyclicWord((j,), g.rank), g)
+                for j in range(1, g.rank + 1) if j != own), default=0)
+
+
+def test_max_spiraling_skips_only_the_own_generator():
+    pt, g2 = surface("punctured-torus"), surface("genus2-boundary1")
+    # spiraling around a class's own generator raises, so it must be skipped
+    for w, other in (("a" * 7, "b"), ("B" * 5, "a")):
+        c = CyclicWord.from_string(w, 2)
+        core = CyclicWord.from_string(other, 2)
+        assert _max_spiraling(c, pt) == spiraling(c, core, pt)
+    c = CyclicWord.from_string("cccc", 4)
+    assert _max_spiraling(c, g2) == max(
+        spiraling(c, CyclicWord((j,), 4), g2) for j in (1, 2, 4))
+    probs = (0.25,) * 4
+    rng = random.Random(11)
+    for index in range(50):
+        gamma = cyclic_reduce(_sample_word("walk", 2, probs, rng.randrange(450, 3801),
+                                           11, index))
+        assert 200 <= len(gamma) <= 2000
+        assert _max_spiraling(gamma, pt) == _max_spiraling_by_letter_set(gamma, pt)
+
+
 def test_stats_import_leaves_process_pool_unloaded():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)

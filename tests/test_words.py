@@ -5,12 +5,13 @@ from collections import Counter
 import pytest
 
 from randcurve.intersect import EdgePath
-from randcurve.ribbon import punctured_torus
-from randcurve.words import (BallSpec, CyclicWord, Word, WordError,
+from randcurve.ribbon import PermRep, elevations, punctured_torus
+from randcurve.words import (RUN_TOKEN_CUT, BallSpec, CyclicWord, Word, WordError,
                              _classes_with_roots, alphabet_letters, ball_size,
                              conjugates_in_ball, cyclic_classes, cyclic_reduce,
                              least_rotation, primitive_class_count, reduce,
-                             satisfies_no_cancellation, sphere_size)
+                             reduce_letters, satisfies_no_cancellation,
+                             sphere_size)
 
 
 def W(s, rank=2):
@@ -100,6 +101,8 @@ def test_reduce_examples():
     assert str(reduce(W("aAb"))) == "b"
     assert str(reduce(W(""))) == ""
     assert str(reduce(W("abBa"))) == "aa"
+    # the stack's sentinel cancels nothing, not even an item 0
+    assert reduce_letters((0, 3)) == reduce_letters((5, -5, 0, 3)) == (0, 3)
 
 
 def test_reduce_idempotent_random():
@@ -189,6 +192,51 @@ def test_least_rotation_matches_booth():
         seq = base * rng.randrange(1, 4)
         assert least_rotation(seq) == _booth_least_rotation(seq), seq
     assert least_rotation(()) == 0 and least_rotation((5,)) == 0
+    # lengths 60-700, on both sides of RUN_TOKEN_CUT, at a few rotations each
+    for seq in _long_rotation_cases(random.Random(5)):
+        for i in {0, 1, len(seq) // 3, len(seq) - 1}:
+            rot = seq[i:] + seq[:i]
+            assert least_rotation(rot) == _booth_least_rotation(rot), rot
+
+
+def _long_rotation_cases(rng):
+    """Sequences of 60 to 700 items: random letters, proper powers, the
+    many-run families (ab)^k c, (aab)^k c and a^k b^k, one-letter words, and
+    items of 128 and up, as the darts of a cover, or that fit neither text."""
+    letters = alphabet_letters(3)
+    for _ in range(40):
+        yield tuple(rng.choice(letters) for _ in range(rng.randrange(60, 701)))
+    for _ in range(40):
+        u = tuple(rng.choice(letters) for _ in range(rng.randrange(1, 60)))
+        yield u * rng.randrange(-(-60 // len(u)), 700 // len(u) + 1)
+    for k in (30, 32, 33, 64, 65, 150, 233):
+        for a, b, c in ((1, 2, 3), (-3, -1, 2)):
+            yield (a, b) * k + (c,)
+            yield (a, a, b) * k + (c,)
+            yield (a,) * k + (b,) * k
+            yield (a,) * (2 * k)
+    for items in ((128, 129, 300), (0, 200, 0xD800, 0x10FFFF), (-1, 5, 130)):
+        for _ in range(10):
+            u = tuple(rng.choice(items) for _ in range(rng.randrange(1, 30)))
+            seq = u * rng.randrange(1, 4)
+            yield seq * -(-60 // len(seq)) + tuple(rng.choice(items)
+                                                   for _ in range(rng.randrange(200)))
+
+
+def test_class_key_of_a_long_path_on_a_cover():
+    # degree-40 cover of the punctured torus: darts 0..159, paths past the cut
+    rng = random.Random(9)
+    pt = punctured_torus()
+    phi = PermRep(40, tuple(tuple(rng.sample(range(40), 40)) for _ in range(2)))
+    paths = [EdgePath(e.cover, e.darts) for _ in range(8)
+             for e in elevations(cyclic_reduce(Word(random_reduced(
+                 rng, rng.randrange(70, 140)), 2)), phi, pt) if len(e.darts) <= 700]
+    assert len(paths) >= 8 and all(len(p) > RUN_TOKEN_CUT for p in paths)
+    assert all(max(p.darts) >= 128 for p in paths)
+    for path in paths:
+        brute = min(d[i:] + d[:i] for d in (path.darts, path.inverse().darts)
+                    for i in range(len(d)))
+        assert path.class_key() == brute
 
 
 def test_primitive_root_matches_period_scan():
