@@ -45,14 +45,16 @@ each linked pair by 1/overlap, is in ``tests/ray_oracle.py``.
 from __future__ import annotations
 
 import re
+import struct
+from codecs import utf_32_le_decode
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
 from math import factorial, prod
 
 from .ribbon import RibbonError, RibbonGraph
-from .words import (CyclicWord, InvariantViolation, Word, WordError, _char_text,
-                    _period, cyclic_reduce, least_rotation, require)
+from .words import (CyclicWord, InvariantViolation, Word, WordError, _period,
+                    cyclic_reduce, least_rotation, require)
 
 
 class IntersectionError(ValueError):
@@ -407,11 +409,13 @@ def _simple_core(alpha: CyclicWord, g: RibbonGraph):
 def _dart_text(gamma: CyclicWord, g: RibbonGraph):
     """The darts of ``gamma``, the same darts as a string of characters, and
     the letters of its primitive root, built once per (curve, graph): the
-    spiraling of one sample around each core reads them.  Raises
+    spiraling of one sample around each core reads them.  The string is
+    decoded in C from the darts packed as 4-byte code points.  Raises
     ``RibbonError`` for a letter with no dart; an error is not cached, so it
     raises again on every call."""
     d = _darts_of(gamma.letters, g)
-    return d, _char_text(d), gamma.primitive_root()[0].letters
+    text = utf_32_le_decode(struct.pack(f"<{len(d)}I", *d), "surrogatepass")[0]
+    return d, text, gamma.primitive_root()[0].letters
 
 
 @lru_cache(maxsize=1024)

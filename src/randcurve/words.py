@@ -21,10 +21,8 @@ closed form, from the class's primitive root and the rank, and
 
 from __future__ import annotations
 
-import codecs
 import functools
 import struct
-import sys
 from dataclasses import dataclass
 from math import isqrt
 
@@ -83,19 +81,18 @@ def _validate_letters(letters, rank: int) -> None:
 
 
 def reduce_letters(letters) -> tuple[int, ...]:
-    """The freely reduced form of ``letters``: one pass over a stack whose
-    bottom is ``None``, a sentinel that no letter cancels, so its top, also
-    kept in a local, is compared with no emptiness test."""
-    stack = [None]
+    """The freely reduced form of ``letters``, by one stack pass that also
+    keeps the top of the stack, or None when it is empty, in a local."""
+    stack: list[int] = []
     top = None
     for x in letters:
         if top == -x:
             stack.pop()
-            top = stack[-1]
+            top = stack[-1] if stack else None
         else:
             stack.append(x)
             top = x
-    return tuple(stack[1:])
+    return tuple(stack)
 
 
 # sequences longer than this take the run-token path of ``least_rotation``
@@ -104,9 +101,6 @@ _BYTES = bytes(range(256))
 # the table that maps byte b to b ^ 0x80: a signed byte to an unsigned one of
 # the same order
 _FLIP = _BYTES[128:] + _BYTES[:128]
-# the decoder of code points packed as native 4-byte words
-_decode_utf32 = (codecs.utf_32_le_decode if sys.byteorder == "little"
-                 else codecs.utf_32_be_decode)
 
 
 def least_rotation(seq: tuple) -> int:
@@ -146,11 +140,11 @@ def least_rotation(seq: tuple) -> int:
 def _run_tokens(seq):
     """``(p, r, tokens)`` that reduce the least rotation of ``seq`` to the
     least rotation of ``tokens``: token t starts at position p + t*r plus
-    the lengths of tokens 0..t-1.  None when the items fit neither text.
+    the lengths of tokens 0..t-1.  None for an item outside -128..127,
+    such as a dart of a cover, which the item scan takes.
 
-    The sequence becomes an order-preserving text once, in C: signed bytes
-    for items in -128..127, such as letters, and characters for other items
-    in 0..0x10FFFF, such as the darts of a cover.  Let m be the least item
+    The sequence becomes an order-preserving text once, in C: its items as
+    signed bytes, flipped to unsigned ones.  Let m be the least item
     and r the length of its longest cyclic run, found by substring searches
     (doubling, then bisection).  A least rotation starts with m^r, so only
     the starts of the runs m^r, each a maximal run, can win.  The text,
@@ -165,13 +159,9 @@ def _run_tokens(seq):
     n = len(seq)
     try:
         text = struct.pack(f"{n}b", *seq).translate(_FLIP)
-        m = _least_byte(text)
     except struct.error:
-        try:
-            text = _char_text(seq)
-        except (struct.error, ValueError):
-            return None
-        m = min(text)
+        return None
+    m = _least_byte(text)
     twice = text + text
     r = 1  # r <= longest run < 2r, then bisection
     while m * (2 * r) in twice:
@@ -188,13 +178,6 @@ def _run_tokens(seq):
     run = m * r
     p = twice.find(run)
     return p, r, twice[p + r:p + n].split(run)
-
-
-def _char_text(seq) -> str:
-    """The string of the characters with code points ``seq``, converted in
-    C as 4-byte words; ``struct.error`` for an item that is not an integer
-    in 0..2^32-1 and ``UnicodeDecodeError`` for one past 0x10FFFF."""
-    return _decode_utf32(struct.pack(f"={len(seq)}I", *seq), "surrogatepass")[0]
 
 
 def _least_byte(text: bytes) -> bytes:

@@ -101,7 +101,7 @@ def test_reduce_examples():
     assert str(reduce(W("aAb"))) == "b"
     assert str(reduce(W(""))) == ""
     assert str(reduce(W("abBa"))) == "aa"
-    # the stack's sentinel cancels nothing, not even an item 0
+    # an empty stack cancels nothing, not even an item 0
     assert reduce_letters((0, 3)) == reduce_letters((5, -5, 0, 3)) == (0, 3)
 
 
@@ -202,7 +202,8 @@ def test_least_rotation_matches_booth():
 def _long_rotation_cases(rng):
     """Sequences of 60 to 700 items: random letters, proper powers, the
     many-run families (ab)^k c, (aab)^k c and a^k b^k, one-letter words, and
-    items of 128 and up, as the darts of a cover, or that fit neither text."""
+    items outside the signed bytes, as the darts of a cover, which take the
+    item scan at any length."""
     letters = alphabet_letters(3)
     for _ in range(40):
         yield tuple(rng.choice(letters) for _ in range(rng.randrange(60, 701)))
