@@ -157,6 +157,7 @@ class MinimizeResult:
     value: float | None
     grad_norm: float | None
     iterations: int
+    evaluations: int  # ``_system_length`` calls over every seed run
 
 
 def _grad_markov(p):
@@ -233,7 +234,8 @@ def minimize_curve_system(words) -> MinimizeResult:
     (a non-filling system); budget when the line search stalls elsewhere or
     after ``MAX_ITER`` iterations.  The result is the shortest converged seed,
     else diverged if a seed diverged, else budget; ``iterations`` counts the
-    iterations of every seed run.
+    iterations of every seed run, and ``evaluations`` its total length
+    evaluations.
     """
     words = [cyclic_reduce(w) for w in words]
     if any(len(w) == 0 for w in words):
@@ -241,16 +243,18 @@ def minimize_curve_system(words) -> MinimizeResult:
     for w in words:
         _check_ab(w)
     best = None
-    total_iters = 0
+    total_iters = evals = 0
     saw_diverged = False
     for p in SEEDS:
         value = _system_length(words, p)
+        evals += 1
         step = 0.1
         status = "budget"
         prev_p = prev_t = None
         for _ in range(MAX_ITER):
             total_iters += 1
             t, tnorm = _tangent_grad_norm(words, p)
+            evals += 2 * len(t)  # central differences along each coordinate
             if tnorm < GRAD_TOL:
                 status = "converged"
                 break
@@ -272,6 +276,7 @@ def minimize_curve_system(words) -> MinimizeResult:
                 if cand is None or min(cand) <= BOX_LO or max(cand) >= BOX_HI:
                     status = "diverged"
                     break
+                evals += 1
                 try:
                     cand_val = _system_length(words, cand)
                 except ParabolicWordError:
@@ -292,12 +297,13 @@ def minimize_curve_system(words) -> MinimizeResult:
             # gradient and cusp distance both decay like 1/coord^2
             status = "diverged"
         if status == "converged" and (best is None or value < best.value):
-            best = MinimizeResult(status, FrickePoint(*p), value, tnorm, total_iters)
+            best = MinimizeResult(status, FrickePoint(*p), value, tnorm,
+                                  total_iters, evals)
         saw_diverged = saw_diverged or status == "diverged"
     if best is not None:
-        return replace(best, iterations=total_iters)
+        return replace(best, iterations=total_iters, evaluations=evals)
     status = "diverged" if saw_diverged else "budget"
-    return MinimizeResult(status, None, None, None, total_iters)
+    return MinimizeResult(status, None, None, None, total_iters, evals)
 
 
 def minimize_length(gamma: Word | CyclicWord) -> MinimizeResult:

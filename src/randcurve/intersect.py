@@ -1,58 +1,78 @@
 """Geometric intersection numbers of closed edge-paths on ribbon graphs.
 
-Two strands passing through a vertex of the thickened graph cross exactly
-when their four ends interleave in the circular order that the fattening
-induces on the ends of the universal cover (a tree); this is the
+``EdgePath``, ``self_intersection``, ``intersection``, ``linked_passages``,
+``linked_masks`` and ``spiraling`` run on one pure-Python linked-pair
+kernel.  Two strands passing through a vertex of the thickened graph cross
+exactly when their four ends interleave in the circular order that the
+fattening induces on the ends of the universal cover (a tree); this is the
 linked-pair criterion of Cohen-Lustig.  The kernel sorts the two ends of
-every vertex passage of a path once.  Each step between darts of a graph has
-one character, its step code, so an end's key is a slice of its path's
-string of codes; the keys are cut to 32 codes and widened only while two of
-them are equal.  A passage owns the interval between its two ends, and two
+every vertex passage of a path once.  Each legal step between darts of a
+graph has one character, its step code, numbered by the first dart's
+vertex-major rank and the turn and built once per graph, so a graph may
+have at most 0x110000 steps.  An end's key is a slice of its path's string
+of codes; the keys are cut to 32 codes and widened fourfold, up to the
+2 * max(len) - 1 codes that decide every comparison, only while two of them
+are equal.  A passage owns the interval between its two ends, and two
 passages are linked when their intervals overlap.  The intervals and linked
-masks are kept for the last path (``linked_passages``), so a lifting
-sample's self-intersection and cover search share one sort of its root's
-ends.  Two crossing lines share a segment of one or more vertices; a linked
-pair counts only at the vertex where that segment starts, which the block
-of ends leaving by one dart tells, so each crossing is counted once with
-integers alone.  The self-intersection of a primitive path is half its
-ordered count; a proper power w^k is handled by the k-parallel-strand cable
-model, contributing k^2 crossings per base crossing plus k-1 for closing
-the cable.
+masks are kept, as tuples, for the last path (``linked_passages``), so a
+lifting sample's self-intersection, clique number and cover search share
+one sort of its root's ends.  Two crossing lines share a segment of one or
+more vertices; a linked pair counts only at the vertex where that segment
+starts, which the XOR mask of the block of ends leaving by one dart tells,
+so each crossing is counted once with integers alone.  The
+self-intersection of a primitive path is half its ordered count; a proper
+power w^k is handled by the k-parallel-strand cable model, contributing k^2
+crossings per base crossing plus k-1 for closing the cable.
+``check_quadratic_bound`` and ``check_invariance`` (under inversion and
+rotation) are the self-checks on its values.
 
-``spiraling`` reads the same circular order of ends.  A lift that runs s
-darts along the axis of a simple core, whose root has c darts, and leaves
-the axis on one side at both ends crosses s // c of its core translates,
-or one fewer when c divides s and, at the vertex where the last translate's
-backward end and its own forward end leave the axis, its own comes first.
-The core is checked for simplicity once per (core, graph), and its darts
-are read off the path that check builds; a sample's darts, their text and
-its primitive root are built once per (curve, graph) and read by its
-spiraling around every core.  The runs are
-found by a compiled regular expression over the darts as characters, one
-per core orientation and phase: the next run start whose run holds more
-roots than the best score so far, so only runs that can raise the score
-are extended and scored in Python.
+A word's darts come from one table per graph (``_letter_table``): the
+letters, packed as signed bytes, are decoded by ``codecs.charmap_decode`` in
+one C call into a string with one character per dart, the dart of each
+letter, and the darts are read back from that string in C.  A byte the
+table leaves undefined, a letter with no dart or a dart the table cannot
+hold, sends the word to ``RibbonGraph.dart_for_letter``, the definition,
+which raises ``RibbonError`` for a letter with no dart.
+
+``spiraling`` is the winding of a lift to the annular cover around a simple
+core, with the common-end condition, read off the same circular order of
+ends.  A lift that runs s darts along the axis of a simple core, whose root
+has c darts, and leaves the axis on one side at both ends crosses s // c of
+its core translates, or one fewer when c divides s and, at the vertex where
+the last translate's backward end and its own forward end leave the axis,
+its own comes first.  The core is checked for simplicity once per (core,
+graph), and its darts are read off the path that check builds; a sample's
+darts, their string and its primitive root are built once per (curve,
+graph) and read by its spiraling around every core.  The root is cut at the
+string's least period, found in C as the first place past 0 where the
+string occurs in itself doubled.  The runs are found by a compiled regular
+expression over the darts as characters, one per core orientation and
+phase: the next run start whose run holds more roots than the best score so
+far, so only runs that can raise the score are extended and scored in
+Python.
 
 The oracle ``brute_min_crossings``, which ``verify`` runs, minimizes chord
 crossings over every band-consistent strand ordering of the same diagram.
 It fixes each chord end once as (zone position, sign, traversal), so an
 ordering only changes the traversals' heights, and it refuses diagrams with
-more than ``MAX_ORDERINGS`` orderings in total before trying any.  The ray
-oracle for the self-intersection, which compares rays pairwise and weights
-each linked pair by 1/overlap, is in ``tests/ray_oracle.py``.
+more than ``MAX_ORDERINGS`` = 8! orderings in total before trying any.  The
+ray oracle for the self-intersection, ``primitive_self_count``, which
+compares rays pairwise and weights each linked pair by 1/overlap, and the
+ray helpers of the tests' ``spiraling`` oracle are in
+``tests/ray_oracle.py``.
 """
 
 from __future__ import annotations
 
 import re
 import struct
-from codecs import utf_32_le_decode
+from codecs import charmap_decode, utf_32_le_decode, utf_32_le_encode
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
 from math import factorial, prod
 
-from .ribbon import RibbonError, RibbonGraph
+from .ribbon import RibbonGraph
 from .words import (CyclicWord, InvariantViolation, Word, WordError, _period,
                     cyclic_reduce, least_rotation, require)
 
@@ -91,7 +111,7 @@ class EdgePath:
 
     @classmethod
     def from_word(cls, w: Word | CyclicWord, g: RibbonGraph) -> "EdgePath":
-        return cls(g, _darts_of(cyclic_reduce(w).letters, g))
+        return cls(g, _darts_of(cyclic_reduce(w).letters, g)[0])
 
     def __len__(self) -> int:
         return len(self.darts)
@@ -116,13 +136,31 @@ class EdgePath:
         return min(keys)
 
 
-def _darts_of(letters, g: RibbonGraph) -> tuple[int, ...]:
-    """The dart of each letter; ``RibbonError`` for a letter with none."""
-    dart_of_letter = g._dart_of_letter
+@lru_cache(maxsize=16)
+def _letter_table(g: RibbonGraph) -> str:
+    """The ``charmap_decode`` table of ``g``'s letters, built once per graph:
+    the character at byte x & 0xFF is the dart of letter x, or U+FFFE, the
+    codec's mark of an undefined byte, where x has no dart or a dart of
+    0xFFFE or more."""
+    darts = map(g._dart_of_letter.get, [*range(128), *range(-128, 0)])
+    return "".join(["\ufffe" if d is None or d >= 0xFFFE else chr(d)
+                    for d in darts])
+
+
+def _darts_of(letters, g: RibbonGraph) -> tuple[tuple[int, ...], str | None]:
+    """The dart of each letter, ``g.dart_for_letter`` letter by letter, and
+    the same darts as a string, one character each.  The string is decoded
+    in one C call from the letters packed as signed bytes, through
+    ``_letter_table``, and the darts are read back from it in C.  A letter
+    the table leaves undefined takes ``dart_for_letter``, which raises
+    ``RibbonError`` for a letter with no dart; the string is then None."""
     try:
-        return tuple([dart_of_letter[x] for x in letters])
-    except KeyError as exc:
-        raise RibbonError(f"no dart labeled {exc.args[0]}") from None
+        text = charmap_decode(struct.pack(f"{len(letters)}b", *letters), None,
+                              _letter_table(g))[0]
+    except UnicodeDecodeError:
+        return tuple([g.dart_for_letter(x) for x in letters]), None
+    d = struct.unpack(f"<{len(text)}I", utf_32_le_encode(text, "surrogatepass")[0])
+    return d, text
 
 
 # --- linked-pair kernel ------------------------------------------------------
@@ -409,13 +447,17 @@ def _simple_core(alpha: CyclicWord, g: RibbonGraph):
 def _dart_text(gamma: CyclicWord, g: RibbonGraph):
     """The darts of ``gamma``, the same darts as a string of characters, and
     the letters of its primitive root, built once per (curve, graph): the
-    spiraling of one sample around each core reads them.  The string is
-    decoded in C from the darts packed as 4-byte code points.  Raises
-    ``RibbonError`` for a letter with no dart; an error is not cached, so it
-    raises again on every call."""
-    d = _darts_of(gamma.letters, g)
-    text = utf_32_le_decode(struct.pack(f"<{len(d)}I", *d), "surrogatepass")[0]
-    return d, text, gamma.primitive_root()[0].letters
+    spiraling of one sample around each core reads them.  The string is the
+    one ``_darts_of`` decodes; for a dart the table cannot hold, it is
+    decoded from the darts packed as 4-byte code points.  The root is cut at
+    the string's least period, the first place past 0 where it occurs in
+    itself doubled, found by ``str.find`` in C.  Raises ``RibbonError`` for
+    a letter with no dart; an error is not cached, so it raises again on
+    every call."""
+    d, text = _darts_of(gamma.letters, g)
+    if text is None:
+        text = utf_32_le_decode(struct.pack(f"<{len(d)}I", *d), "surrogatepass")[0]
+    return d, text, gamma.letters[:(text + text).find(text, 1)]
 
 
 @lru_cache(maxsize=1024)

@@ -452,7 +452,7 @@ def _max_spiraling(gamma: CyclicWord, g) -> int:
     letters, own = gamma.letters, 0
     if letters and letters.count(letters[0]) == len(letters):
         own = abs(letters[0])
-    return max((spiraling(gamma, CyclicWord((j,), g.rank), g)
+    return max((spiraling(gamma, _unchecked(CyclicWord, (j,), g.rank), g)
                 for j in range(1, g.rank + 1) if j != own), default=0)
 
 

@@ -200,6 +200,49 @@ def test_minimize_counts_iterations_of_every_seed(monkeypatch):
     assert res.iterations == len(calls) == 16
 
 
+def _count_length_calls(monkeypatch, raise_at=None):
+    """Wrap ``fricke._system_length`` to record every call; call number
+    ``raise_at`` (from 1) raises ``ParabolicWordError`` instead."""
+    calls = []
+    length = fricke._system_length
+
+    def counted(words, p):
+        calls.append(p)
+        if len(calls) == raise_at:
+            raise ParabolicWordError("parabolic candidate")
+        return length(words, p)
+
+    monkeypatch.setattr(fricke, "_system_length", counted)
+    return calls
+
+
+@pytest.mark.parametrize("word, status", [
+    ("babbaabAbaBabbAbABaB", "converged"),  # both seeds run
+    ("aabb", "diverged"),  # non-filling
+    ("ab", "diverged"),
+])
+def test_minimize_counts_length_evaluations_of_every_seed(monkeypatch, word, status):
+    calls = _count_length_calls(monkeypatch)
+    res = minimize_length(C(word))
+    assert res.status == status
+    assert res.evaluations == len(calls) > 6 * res.iterations
+
+
+def test_minimize_counts_length_evaluations_that_stall_or_raise(monkeypatch):
+    # the stalled line search of test_minimize_stalled_line_search_is_budget
+    calls = _count_length_calls(monkeypatch)
+    monkeypatch.setattr(fricke, "_project_markov", lambda p: None)
+    res = minimize_length(C("aab"))
+    assert res.status == "budget" and res.evaluations == len(calls)
+    monkeypatch.undo()
+    # call 8 is the first line-search candidate, after the seed's value and
+    # its first gradient's six; a candidate whose length raises is rejected
+    # (a gradient's call would not be caught) and still counted
+    calls = _count_length_calls(monkeypatch, raise_at=8)
+    res = minimize_length(C("babbaabAbaBabbAbABaB"))
+    assert res.status == "converged" and res.evaluations == len(calls)
+
+
 def test_symmetric_system_minimizer():
     res = minimize_curve_system([C("a"), C("b"), C("ab")])
     assert res.status == "converged"
@@ -249,7 +292,7 @@ def test_rose_minimizer_that_does_not_converge_is_a_failed_self_check(monkeypatc
     # the rose curves a and b always have a minimizer: failing to find it is
     # a library bug, not a domain error
     monkeypatch.setattr(fricke, "minimize_curve_system",
-                        lambda words: MinimizeResult("budget", None, None, None, 0))
+                        lambda words: MinimizeResult("budget", None, None, None, 0, 0))
     rose_minimizer.cache_clear()
     try:
         with pytest.raises(InvariantViolation,

@@ -1,15 +1,19 @@
 import itertools
+import math
 import random
+import statistics
 
 import pytest
 
 from randcurve.intersect import (BudgetExceeded, EdgePath, IntersectionError,
-                                 _dart_text, _simple_core, brute_min_crossings,
+                                 _dart_text, _darts_of, _simple_core,
+                                 brute_min_crossings,
                                  check_invariance, intersection,
                                  self_intersection, spiraling)
 from randcurve.ribbon import (PermRep, RibbonError, RibbonGraph, cover,
-                              genus2_boundary1, pair_of_pants, punctured_torus)
-from randcurve.stats import uniform_reduced_word
+                              genus2_boundary1, pair_of_pants, punctured_torus,
+                              signature, surface)
+from randcurve.stats import _sample_word, uniform_reduced_word
 from randcurve.words import CyclicWord, Word, alphabet_letters, cyclic_classes, \
     cyclic_reduce, least_rotation
 from ray_oracle import _backward_ray, _divergence, _forward_ray, _linked
@@ -303,6 +307,96 @@ def test_spiraling_alternating_calls_match_isolated_calls():
         order = list(range(len(calls)))
         rng.shuffle(order)
         assert [call(*calls[i]) for i in order] == [isolated[i] for i in order]
+
+
+def _check_letter_table(gamma, g):
+    """``_darts_of`` and ``_dart_text`` against ``dart_for_letter`` letter by
+    letter and ``primitive_root``."""
+    darts = tuple(g.dart_for_letter(x) for x in gamma.letters)
+    d, text = _darts_of(gamma.letters, g)
+    assert d == darts, gamma
+    _dart_text.cache_clear()
+    assert _dart_text(gamma, g) == (darts, "".join(map(chr, darts)),
+                                    gamma.primitive_root()[0].letters), gamma
+    # the string is None only where a dart is past the table's characters
+    assert (text is None) == (max(darts) >= 0xFFFE), gamma
+    assert text is None or text == _dart_text(gamma, g)[1]
+
+
+def test_letter_table_matches_dart_for_letter():
+    for name in ("punctured-torus", "pair-of-pants", "genus2-boundary1"):
+        g = surface(name)
+        for c in cyclic_classes(6, g.rank):
+            _check_letter_table(c, g)
+    rng = random.Random(27)
+    walks = [cyclic_reduce(_sample_word("walk", 2, (0.25,) * 4,
+                                        rng.randrange(450, 3801), 27, i))
+             for i in range(50)]
+    assert all(200 <= len(c) <= 2000 for c in walks)
+    for c in walks:
+        _check_letter_table(c, PT)
+    # proper powers: the root is cut at the text's least period
+    for c in walks[:5]:
+        power = cyclic_reduce(Word(c.letters[:37] * 9, 2))
+        assert power.primitive_root()[1] == 9
+        _check_letter_table(power, PT)
+    # a degree-101 cover, whose letter darts run past 255
+    phi = PermRep(101, tuple(tuple(rng.sample(range(101), 101)) for _ in range(2)))
+    big = cover(PT, phi)
+    assert max(big.dart_for_letter(x) for x in (1, 2, -1, -2)) >= 256
+    for c in walks[:10] + list(cyclic_classes(4)):
+        _check_letter_table(c, big)
+
+
+def test_letter_table_holds_no_dart_as_its_undefined_mark():
+    # U+FFFE marks an undefined byte of a charmap table, so letter c, whose
+    # dart is 0xFFFE, must still read as that dart; letter b's darts are
+    # surrogate code points
+    n = 0x10000
+    label = [1 if d % 2 == 0 else -1 for d in range(n)]
+    label[0xD800:0xD802] = [2, -2]
+    label[0xFFFE:] = [3, -3]
+    g = RibbonGraph(range(n), [d ^ 1 for d in range(n)], label, 3)
+    assert [g.dart_for_letter(x) for x in (2, -2, 3, -3)] == [0xD800, 0xD801,
+                                                              0xFFFE, 0xFFFF]
+    for s in ("abAB", "b", "aBB", "abcABC", "c", "C", "cc", "aCbB", "bcbc"):
+        _check_letter_table(CyclicWord.from_string(s, 3), g)
+
+
+@pytest.mark.parametrize("name", ["punctured-torus", "pair-of-pants",
+                                  "genus2-boundary1"])
+def test_self_intersection_mean_matches_chas_lalley_constant(name):
+    # Chas-Lalley (Invent. Math. 188, 2012): a uniform cyclically reduced
+    # word of length L on a surface with boundary and Euler characteristic
+    # chi has mean self-intersection about kappa L^2, kappa = chi/(3(2chi-1)),
+    # with fluctuations of order L^(3/2).  Band: four standard errors of the
+    # measured mean of N/L^2, plus 1/L for the finite-size bias (the ball's
+    # mean/n^2 at n = 160 is 2.3% below kappa, about 0.4/n)
+    g = surface(name)
+    chi = signature(g).euler_characteristic
+    kappa = chi / (3 * (2 * chi - 1))
+    ratios, lengths = [], []
+    for index in range(40):
+        c = cyclic_reduce(_sample_word("ball", g.rank, None, 2000, 1, index))
+        ratios.append(self_intersection(EdgePath.from_word(c, g)) / len(c) ** 2)
+        lengths.append(len(c))
+    se = statistics.stdev(ratios) / math.sqrt(len(ratios))
+    band = 4 * se + 1 / min(lengths)
+    assert abs(statistics.fmean(ratios) - kappa) <= band, (
+        name, statistics.fmean(ratios), kappa, se)
+    assert band < 0.03 * kappa  # 3%: far tighter than the gap from 1/9 to 1/7
+
+
+def test_letter_with_no_dart_raises_on_every_call():
+    gamma = CyclicWord.from_string("abc", 3)
+    for _ in range(3):
+        with pytest.raises(RibbonError, match="^no dart labeled 3$"):
+            _darts_of(gamma.letters, PT)
+        with pytest.raises(RibbonError, match="^no dart labeled 3$"):
+            _dart_text(gamma, PT)
+        with pytest.raises(RibbonError, match="^no dart labeled 3$"):
+            EdgePath.from_word(gamma, PT)
+        _check_letter_table(CyclicWord.from_string("ab", 3), PT)
 
 
 def test_spiraling_errors_raise_on_every_call():
