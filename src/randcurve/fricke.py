@@ -7,7 +7,9 @@ to be -2 (cusp).  Geodesic lengths come from traces via
 len = 2*arccosh(|tr|/2); length minimization runs projected gradient
 descent directly on the cubic.  Words are over a and b only (a letter past
 b raises ``FrickeError``), so the ``minimizer`` experiment family runs on the
-punctured-torus preset alone.
+punctured-torus preset alone.  ``_word_trace``, the minimizer's hot loop,
+updates the product through temporaries and tests overflow by chained
+comparisons, with the same bits as the plain product (see its docstring).
 """
 
 from __future__ import annotations
@@ -88,6 +90,24 @@ def _word_trace(letters, A, B) -> tuple[float, float]:
 
     The running product is renormalized so long words cannot overflow;
     the true trace magnitude is |tr| * exp(scale).
+
+    The loop is the hot path of the minimizer, and it gives the same bits as
+    the plain per-letter product (``tests/test_fricke.py`` checks it against
+    a nested-tuple oracle):
+    - the overflow test is a chained comparison of each entry with
+      [-1e100, 1e100], not ``max(abs(...)) > 1e100``. The entries stay
+      finite (the holonomy's are, and a renormalized product times a letter
+      is far from overflow), so an entry lies outside that interval exactly
+      when its absolute value exceeds 1e100, and both tests renormalize at
+      the same letter. ``big`` is then computed as before, by the same
+      ``max``;
+    - each row is updated through one temporary: ``t = a*e + b*g`` reads the
+      old a and b, ``b = a*f + b*h`` still reads the old a, then ``a = t``.
+      So every entry is the same float expression of the same old values as
+      in a 4-tuple rebuild;
+    - ``mats`` stays a dict keyed by letter. A tuple indexed by letter runs
+      the loop about 10% faster, but it would read a letter past b as some
+      other letter's matrix with no error.
     """
     (a1, b1), (c1, d1) = A
     (a2, b2), (c2, d2) = B
@@ -98,9 +118,15 @@ def _word_trace(letters, A, B) -> tuple[float, float]:
     scale = 0.0
     for x in letters:
         e, f, g, h = mats[x]
-        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
-        big = max(abs(a), abs(b), abs(c), abs(d))
-        if big > 1e100:
+        t = a * e + b * g
+        b = a * f + b * h
+        a = t
+        t = c * e + d * g
+        d = c * f + d * h
+        c = t
+        if not (-1e100 <= a <= 1e100 and -1e100 <= b <= 1e100
+                and -1e100 <= c <= 1e100 and -1e100 <= d <= 1e100):
+            big = max(abs(a), abs(b), abs(c), abs(d))
             a, b, c, d = a / big, b / big, c / big, d / big
             scale += math.log(big)
     return a + d, scale
@@ -136,7 +162,9 @@ def geodesic_length(w: Word | CyclicWord, p: FrickePoint) -> LengthReport:
     A, B = holonomy(p)
     tr, scale = _word_trace(c.letters, A, B)
     length = _length_from_trace(tr, scale)
-    shown = tr * math.exp(scale) if scale < 700 else math.inf
+    # past exp(700) the magnitude overflows; the mantissa keeps the sign
+    shown = (tr * math.exp(scale) if scale < 700
+             else math.copysign(math.inf, tr))
     return LengthReport(str(c), length, shown)
 
 

@@ -10,6 +10,7 @@ from randcurve.fricke import (FrickeError, FrickePoint, MinimizeResult,
                               geodesic_length, holonomy, markov_residual,
                               minimize_curve_system, minimize_length,
                               rose_minimizer)
+from randcurve.stats import _sample_word
 from randcurve.words import (CyclicWord, InvariantViolation, Word,
                              alphabet_letters, cyclic_reduce)
 
@@ -131,6 +132,25 @@ def _nested_word_trace(letters, A, B):
     return cur[0][0] + cur[1][1], scale
 
 
+# a unimodular A whose powers grow in one entry only, with the given sign
+_ONE_ENTRY_GROWTH = {
+    ("a", 1): ((2.0, 0.0), (0.0, 0.5)), ("a", -1): ((-2.0, 0.0), (0.0, -0.5)),
+    ("b", 1): ((1.0, 1e98), (0.0, 1.0)), ("b", -1): ((1.0, -1e98), (0.0, 1.0)),
+    ("c", 1): ((1.0, 0.0), (1e98, 1.0)), ("c", -1): ((1.0, 0.0), (-1e98, 1.0)),
+    ("d", 1): ((0.5, 0.0), (0.0, 2.0)), ("d", -1): ((-0.5, 0.0), (0.0, -2.0)),
+}
+
+
+def _plain_power(A, k):
+    """The entries (a, b, c, d) of A^k, multiplied out letter by letter
+    with no renormalization."""
+    (e, f), (g, h) = A
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    for _ in range(k):
+        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    return a, b, c, d
+
+
 def test_word_trace_matches_nested_product_bit_for_bit():
     rng = random.Random(7)
     letters = alphabet_letters(2)
@@ -144,6 +164,70 @@ def test_word_trace_matches_nested_product_bit_for_bit():
         tr, scale = fricke._word_trace((1, 2) * 200, A, B)
         assert (tr, scale) == _nested_word_trace((1, 2) * 200, A, B)
         assert scale > 0
+    # each entry, above +1e100 and below -1e100, is the first and only one to
+    # leave [-1e100, 1e100]: at the last letter, then before a tail of mixed
+    # letters
+    B = fricke._holonomy_raw(3.7, 4.1, 5.3)[1]
+    for (entry, sign), A in _ONE_ENTRY_GROWTH.items():
+        k = 1
+        while all(abs(v) <= 1e100 for v in _plain_power(A, k)):
+            k += 1
+        outside = {name: v for name, v in zip("abcd", _plain_power(A, k))
+                   if abs(v) > 1e100}
+        assert list(outside) == [entry]
+        assert math.copysign(1.0, outside[entry]) == sign
+        w = (1,) * k
+        assert fricke._word_trace(w[:-1], A, B)[1] == 0.0
+        tr, scale = fricke._word_trace(w, A, B)
+        assert (tr, scale) == _nested_word_trace(w, A, B) and scale > 0
+        w += tuple(rng.choice(letters) for _ in range(300))
+        assert fricke._word_trace(w, A, B) == _nested_word_trace(w, A, B)
+    # walk classes of 600+ letters at a far point of the box, traces near 1e5
+    # (the smaller root z of the cubic at x = 1e5, y = 3): the product is
+    # renormalized every few dozen letters
+    x, y = 1e5, 3.0
+    z = (x * y - math.sqrt((x * y) ** 2 - 4.0 * (x * x + y * y))) / 2.0
+    A, B = fricke._holonomy_raw(x, y, z)
+    for index in range(5):
+        c = cyclic_reduce(_sample_word("walk", 2, (0.25,) * 4, 1280, 3, index))
+        assert len(c) >= 600
+        tr, scale = fricke._word_trace(c.letters, A, B)
+        assert (tr, scale) == _nested_word_trace(c.letters, A, B)
+        assert scale > 5 * math.log(1e100)
+
+
+# ``minimize_length`` of the walk class at seed 0, index 0, recorded before
+# the ``_word_trace`` loop was rewritten: point and value as ``float.hex``.
+# Every length evaluation at n = 1,280 renormalizes the running product;
+# none at n = 320 does
+_PINNED_MINIMIZATIONS = {
+    320: (148, ("0x1.573469f25f085p+1", "0x1.83a6a7544fc8ep+1",
+                "0x1.daad80968810ep+1"), "0x1.859878c72aa4fp+7", 20, 141),
+    1280: (652, ("0x1.622a565687018p+1", "0x1.72a764065fd41p+1",
+                 "0x1.f55ec10d61237p+1"), "0x1.a253163fcc49cp+9", 14, 98),
+}
+
+
+@pytest.mark.parametrize("n", sorted(_PINNED_MINIMIZATIONS))
+def test_long_minimization_is_pinned_bit_for_bit(n):
+    length, point, value, iterations, evaluations = _PINNED_MINIMIZATIONS[n]
+    c = cyclic_reduce(_sample_word("walk", 2, (0.25,) * 4, n, 0, 0))
+    assert len(c) == length
+    res = minimize_length(c)
+    assert res.status == "converged"
+    assert tuple(v.hex() for v in res.point.triple()) == point
+    assert res.value.hex() == value
+    assert (res.iterations, res.evaluations) == (iterations, evaluations)
+
+
+@pytest.mark.parametrize("power, sign", [(423, -1.0), (424, 1.0)])
+def test_overflowing_trace_keeps_its_sign(power, sign):
+    # aabAB has trace -9 at (3, 3, 3), so its k-th power has sign (-1)^k;
+    # past exp(700) only the sign of the trace is shown
+    p = FrickePoint(3, 3, 3)
+    rep = geodesic_length(C("aabAB" * power), p)
+    assert rep.trace == sign * math.inf
+    assert math.isfinite(rep.length) and rep.length > 1000
 
 
 def test_collar_width():
