@@ -8,7 +8,7 @@ when the walk needs them and numbering sheets in order of first visit (the
 low-index-subgroups technique, Sims, *Computation with Finitely Presented
 Groups*, ch. 5), and cuts a branch as soon as one sheet holds two linked
 positions of the root; the linked positions are the bitmasks of
-``intersect.linked_masks``, computed once per curve.  Pairwise linked
+``intersect.linked_passages``, computed once per curve.  Pairwise linked
 positions need distinct sheets, so the search starts at ω, the size of the
 largest such set.  The linked pairs are the overlapping pairs of the
 intervals between each passage's two ends, so the linked graph is a circle
@@ -210,7 +210,7 @@ def clique_number(lo, hi) -> int:
     return best
 
 
-def _embedded_walk(letters, power: int, linked_masks, rank: int, d: int):
+def _embedded_walk(letters, power: int, masks, rank: int, d: int):
     """Partial permutations on at most ``d`` sheets along which the
     elevation of ``root^power`` from sheet 0 closes up embedded, else None.
 
@@ -220,8 +220,8 @@ def _embedded_walk(letters, power: int, linked_masks, rank: int, d: int):
     free and then one new sheet, so sheets are numbered in order of first
     visit and no conjugate tuple is tried twice.  Position ``i`` may not be
     placed on a sheet holding a position ``j`` with bit ``j`` set in
-    ``linked_masks[i]``.  Backtracking uses an explicit stack: the walk is
-    root length times passes deep.
+    ``masks[i]``, the masks of ``linked_passages``.  Backtracking uses an
+    explicit stack: the walk is root length times passes deep.
     """
     L = len(letters)
     fwd = [[-1] * d for _ in range(rank)]
@@ -238,7 +238,7 @@ def _embedded_walk(letters, power: int, linked_masks, rank: int, d: int):
         if k and not i and not s:
             if (k // L) % power == 0:
                 return fwd
-        elif not held[s] & linked_masks[i]:
+        elif not held[s] & masks[i]:
             held[s] |= 1 << i
             walk.append(s)
             out, back = steps[i]
@@ -294,7 +294,7 @@ def simple_lifting_degree(gamma: CyclicWord, g: RibbonGraph,
     For each d, a backtracking search walks the elevation of the primitive
     root from sheet 0 over partial permutations (see ``_embedded_walk``).
     Root positions landing on a common sheet cross exactly when their base
-    residues are a linked pair (``intersect.linked_masks``), so no cover
+    residues are a linked pair (``intersect.linked_passages``), so no cover
     is built.  The walk succeeds when it returns to sheet 0 after a number of
     root passes divisible by the power.  Every sheet in use is reached by
     the walk, so every completion of the partial permutations is transitive,
@@ -315,7 +315,7 @@ def simple_lifting_degree(gamma: CyclicWord, g: RibbonGraph,
     if g.vertex_count != 1:
         raise CoverSearchError("degree search expects a one-vertex spine")
     root, power = gamma.primitive_root()
-    lo, hi, masks = linked_passages(EdgePath.from_word(root, g))
+    lo, hi, masks, _ = linked_passages(EdgePath.from_word(root, g))
     omega = clique_number(lo, hi)
     for d in range(omega, d_max + 1):
         fwd = _embedded_walk(root.letters, power, masks, g.rank, d)

@@ -1,38 +1,39 @@
 """Geometric intersection numbers of closed edge-paths on ribbon graphs.
 
-``EdgePath``, ``self_intersection``, ``intersection``, ``linked_passages``,
-``linked_masks`` and ``spiraling`` run on one pure-Python linked-pair
-kernel.  Two strands passing through a vertex of the thickened graph cross
-exactly when their four ends interleave in the circular order that the
-fattening induces on the ends of the universal cover (a tree); this is the
-linked-pair criterion of Cohen-Lustig.  The kernel sorts the two ends of
-every vertex passage of a path once.  Each legal step between darts of a
-graph has one character, its step code, numbered by the first dart's
-vertex-major rank and the turn and built once per graph, so a graph may
-have at most 0x110000 steps.  An end's key is a slice of its path's string
-of codes; the keys are cut to 32 codes and widened fourfold, up to the
-2 * max(len) - 1 codes that decide every comparison, only while two of them
-are equal.  A passage owns the interval between its two ends, and two
-passages are linked when their intervals overlap.  The intervals and linked
-masks are kept, as tuples, for the last path (``linked_passages``), so a
-lifting sample's self-intersection, clique number and cover search share
-one sort of its root's ends.  Two crossing lines share a segment of one or
-more vertices; a linked pair counts only at the vertex where that segment
-starts, which the XOR mask of the block of ends leaving by one dart tells,
-so each crossing is counted once with integers alone.  The
-self-intersection of a primitive path is half its ordered count; a proper
-power w^k is handled by the k-parallel-strand cable model, contributing k^2
-crossings per base crossing plus k-1 for closing the cable.
-``check_quadratic_bound`` and ``check_invariance`` (under inversion and
-rotation) are the self-checks on its values.
+``EdgePath``, ``self_intersection``, ``intersection``, ``linked_passages``
+and ``spiraling`` run on one pure-Python linked-pair kernel.  Two strands
+passing through a vertex of the thickened graph cross exactly when their
+four ends interleave in the circular order that the fattening induces on
+the ends of the universal cover (a tree); this is the linked-pair criterion
+of Cohen-Lustig.  The kernel sorts the two ends of every vertex passage of
+a path once.  Each legal step between darts of a graph has one character,
+its step code, numbered by the first dart's vertex-major rank and the turn
+and built once per graph, so a graph may have at most 0x110000 steps.  An
+end's key is a slice of its path's string of codes; the keys are cut to 32
+codes and widened fourfold, up to the 2 * max(len) - 1 codes that decide
+every comparison, only while two of them are equal.  A passage owns the
+interval between its two ends, and two passages are linked when their
+intervals overlap.  The intervals and masks are kept, as tuples, for the
+last path (``linked_passages``), so a lifting sample's self-intersection,
+clique number and cover search share one sort of its root's ends.  Two
+crossing lines share a segment of one or more vertices; a linked pair
+counts only at the vertex where that segment starts, which the XOR mask of
+the block of ends leaving by one dart tells, so each crossing is counted
+once with integers alone.  The self-intersection of a primitive path is
+half its ordered count; a proper power w^k is handled by the
+k-parallel-strand cable model, contributing k^2 crossings per base crossing
+plus k-1 for closing the cable.  ``check_quadratic_bound`` and
+``check_invariance`` (under inversion and rotation) are the self-checks on
+its values.
 
 A word's darts come from one table per graph (``_letter_table``): the
 letters, packed as signed bytes, are decoded by ``codecs.charmap_decode`` in
 one C call into a string with one character per dart, the dart of each
 letter, and the darts are read back from that string in C.  A byte the
-table leaves undefined, a letter with no dart or a dart the table cannot
-hold, sends the word to ``RibbonGraph.dart_for_letter``, the definition,
-which raises ``RibbonError`` for a letter with no dart.
+table leaves undefined, a letter with no dart or a dart of 0xD800 or more,
+sends the word to ``RibbonGraph.dart_for_letter``, the definition, which
+raises ``RibbonError`` for a letter with no dart; the string is then joined
+from those darts.
 
 ``spiraling`` is the winding of a lift to the annular cover around a simple
 core, with the common-end condition, read off the same circular order of
@@ -66,7 +67,7 @@ from __future__ import annotations
 
 import re
 import struct
-from codecs import charmap_decode, utf_32_le_decode, utf_32_le_encode
+from codecs import charmap_decode, utf_32_le_encode
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
@@ -141,26 +142,27 @@ def _letter_table(g: RibbonGraph) -> str:
     """The ``charmap_decode`` table of ``g``'s letters, built once per graph:
     the character at byte x & 0xFF is the dart of letter x, or U+FFFE, the
     codec's mark of an undefined byte, where x has no dart or a dart of
-    0xFFFE or more."""
+    0xD800 or more: the first surrogate, which the strict UTF-32 read-back
+    of ``_darts_of`` refuses."""
     darts = map(g._dart_of_letter.get, [*range(128), *range(-128, 0)])
-    return "".join(["\ufffe" if d is None or d >= 0xFFFE else chr(d)
+    return "".join(["\ufffe" if d is None or d >= 0xD800 else chr(d)
                     for d in darts])
 
 
-def _darts_of(letters, g: RibbonGraph) -> tuple[tuple[int, ...], str | None]:
+def _darts_of(letters, g: RibbonGraph) -> tuple[tuple[int, ...], str]:
     """The dart of each letter, ``g.dart_for_letter`` letter by letter, and
     the same darts as a string, one character each.  The string is decoded
     in one C call from the letters packed as signed bytes, through
     ``_letter_table``, and the darts are read back from it in C.  A letter
     the table leaves undefined takes ``dart_for_letter``, which raises
-    ``RibbonError`` for a letter with no dart; the string is then None."""
+    ``RibbonError`` for a letter with no dart."""
     try:
         text = charmap_decode(struct.pack(f"{len(letters)}b", *letters), None,
                               _letter_table(g))[0]
     except UnicodeDecodeError:
-        return tuple([g.dart_for_letter(x) for x in letters]), None
-    d = struct.unpack(f"<{len(text)}I", utf_32_le_encode(text, "surrogatepass")[0])
-    return d, text
+        darts = tuple([g.dart_for_letter(x) for x in letters])
+        return darts, "".join(map(chr, darts))
+    return struct.unpack(f"<{len(text)}I", utf_32_le_encode(text)[0]), text
 
 
 # --- linked-pair kernel ------------------------------------------------------
@@ -277,22 +279,13 @@ def _passages(g: RibbonGraph, paths):
 
 
 @lru_cache(maxsize=1)
-def _root_passages(path: EdgePath) -> tuple[tuple[int, ...], ...]:
-    """``_passages`` of a primitive path, kept for the last path, because a
-    lifting sample reads them for its self-intersection and its cover
-    search; tuples, since callers share them."""
-    return tuple(map(tuple, _passages(path.graph, [path.darts])))
-
-
 def linked_passages(path: EdgePath) -> tuple[tuple[int, ...], ...]:
-    """``lo``, ``hi`` and ``masks`` of a primitive path's passages."""
-    return _root_passages(path)[:3]
-
-
-def linked_masks(path: EdgePath) -> tuple[int, ...]:
-    """Per position of a primitive path, the bitmask of the positions whose
-    passages are linked with it."""
-    return _root_passages(path)[2]
+    """``lo``, ``hi``, ``masks`` and ``touch`` of ``_passages`` for a
+    primitive path: bit j of ``masks[i]`` is set when the passages at
+    positions i and j are linked.  Kept for the last path, because a lifting
+    sample reads them for its self-intersection and its cover search;
+    tuples, since callers share them."""
+    return tuple(map(tuple, _passages(path.graph, [path.darts])))
 
 
 def _ordered_crossings(masks, touch, targets: int) -> int:
@@ -319,7 +312,7 @@ def self_intersection(p: EdgePath) -> int:
     """
     root, k = p.primitive_root()
     n = len(root)
-    _, _, masks, touch = _root_passages(root)
+    _, _, masks, touch = linked_passages(root)
     ordered = _ordered_crossings(masks, touch, (1 << n) - 1)
     require(ordered % 2 == 0, "odd ordered crossing count: invariant violated")
     return k * k * (ordered // 2) + (k - 1)
@@ -448,15 +441,11 @@ def _dart_text(gamma: CyclicWord, g: RibbonGraph):
     """The darts of ``gamma``, the same darts as a string of characters, and
     the letters of its primitive root, built once per (curve, graph): the
     spiraling of one sample around each core reads them.  The string is the
-    one ``_darts_of`` decodes; for a dart the table cannot hold, it is
-    decoded from the darts packed as 4-byte code points.  The root is cut at
-    the string's least period, the first place past 0 where it occurs in
-    itself doubled, found by ``str.find`` in C.  Raises ``RibbonError`` for
-    a letter with no dart; an error is not cached, so it raises again on
-    every call."""
+    one ``_darts_of`` returns.  The root is cut at the string's least period,
+    the first place past 0 where it occurs in itself doubled, found by
+    ``str.find`` in C.  Raises ``RibbonError`` for a letter with no dart; an
+    error is not cached, so it raises again on every call."""
     d, text = _darts_of(gamma.letters, g)
-    if text is None:
-        text = utf_32_le_decode(struct.pack(f"<{len(d)}I", *d), "surrogatepass")[0]
     return d, text, gamma.letters[:(text + text).find(text, 1)]
 
 

@@ -45,11 +45,12 @@ from . import __version__, covers, fricke
 from .intersect import (EdgePath, check_quadratic_bound, intersection,
                         self_intersection, spiraling)
 from .ribbon import SURFACE_PRESETS, surface
-from .words import (BallSpec, CyclicWord, InvariantViolation, Word, WordError,
-                    _unchecked, _validate_letters, alphabet_letters,
-                    check_conjugacy_bound, conjugates_in_ball,
-                    cyclic_reduce, cyclically_reduced_count,
-                    primitive_class_count, reduce_letters, require, sphere_size)
+from .words import (CyclicWord, InvariantViolation, Word, WordError,
+                    _ball_sizes, _unchecked, _validate_letters,
+                    alphabet_letters, check_conjugacy_bound,
+                    conjugates_in_ball, cyclic_reduce,
+                    cyclically_reduced_count, primitive_class_count,
+                    reduce_letters, require)
 
 
 class ConfigError(ValueError):
@@ -111,13 +112,6 @@ def uniform_reduced_word(rng: random.Random, rank: int, length: int) -> Word:
     for _ in range(length - 1):
         word.append(after[word[-1]][rng.randrange(2 * rank - 1)])
     return _unchecked(Word, tuple(word), rank)
-
-
-@functools.lru_cache(maxsize=64)
-def _sphere_cumulative(rank: int, n: int) -> tuple[int, ...]:
-    """|B_k| for k = 0..n: the running sums of the sphere sizes."""
-    return tuple(itertools.accumulate(sphere_size(BallSpec(rank, k))
-                                      for k in range(n + 1)))
 
 
 _X_SCALE = 1.0 / (1 << 53)  # random() returns X * _X_SCALE for its 53-bit X
@@ -217,7 +211,7 @@ def sample_word(rng: random.Random, sampler: str, rank: int, probs, n: int) -> W
             raise ConfigError(f"walk probabilities must be numbers, "
                               f"got {probs!r}") from None
         return _unchecked(Word, _walk_letters(rng, rank, probs, n), rank)
-    cum = _sphere_cumulative(rank, n)
+    cum = _ball_sizes(rank, n)
     k = bisect.bisect_right(cum, rng.randrange(cum[-1]))
     return uniform_reduced_word(rng, rank, k)
 
@@ -422,12 +416,16 @@ class ExperimentTable:
 
 
 def _table(config: ExperimentConfig, by_n: dict, meta: dict) -> ExperimentTable:
-    """One row per n summarizing its values (a row without values reads as
-    a single 0), the sorted values themselves if ``retain_raw``, and the
-    config and library version in the metadata, followed by ``meta``."""
+    """One row per n summarizing its values (a row without values has 0
+    samples and NaN statistics), the sorted values themselves if
+    ``retain_raw``, and the config and library version in the metadata,
+    followed by ``meta``."""
     rows = []
     for n in config.n_grid:
-        values = sorted(by_n[n]) or [0]
+        values = sorted(by_n[n])
+        if not values:
+            rows.append(RowStats(n, 0, *[math.nan] * 5))
+            continue
         if len(values) >= 2:
             q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
         else:
@@ -498,7 +496,7 @@ def _measure_class(config: ExperimentConfig, gamma: CyclicWord):
     if family == "lifting":
         res = covers.simple_lifting_degree(gamma, g, d_max=config.d_max)
         if res.found:  # a not-found degree has no bounds to check
-            # reads the root's linked passages that the search cached
+            # reads the root's ``linked_passages`` that the search cached
             covers.check_degree_bounds(
                 res.degree, self_intersection(EdgePath.from_word(gamma, g)),
                 _max_spiraling(gamma, g))
@@ -666,23 +664,27 @@ def _least_squares(xs, ys) -> FitResult:
     return FitResult(slope, se, intercept)
 
 
+def _fit_rows(table: ExperimentTable) -> list[RowStats]:
+    """The rows of ``table``; raises ``ConfigError`` naming the first row
+    without samples or with n <= 0."""
+    for r in table.rows:
+        if r.samples == 0:
+            raise ConfigError(f"cannot fit: the row at n = {r.n} has no samples")
+        if r.n <= 0:
+            raise ConfigError(f"cannot fit: the row at n = {r.n} is not positive")
+    return table.rows
+
+
 def fit_power_law(table: ExperimentTable) -> FitResult:
     """Slope of log(median) against log(n): the growth exponent."""
-    xs, ys = [], []
-    for r in table.rows:
-        if r.n <= 0 or r.median <= 0:
-            raise ConfigError("power-law fit needs positive n and medians")
-        xs.append(math.log(r.n))
-        ys.append(math.log(r.median))
-    return _least_squares(xs, ys)
+    rows = _fit_rows(table)
+    if any(r.median <= 0 for r in rows):
+        raise ConfigError("power-law fit needs positive medians")
+    return _least_squares([math.log(r.n) for r in rows],
+                          [math.log(r.median) for r in rows])
 
 
 def fit_log_law(table: ExperimentTable) -> FitResult:
     """Slope of median against log(n): logarithmic growth rate."""
-    xs, ys = [], []
-    for r in table.rows:
-        if r.n <= 0:
-            raise ConfigError("log fit needs positive n")
-        xs.append(math.log(r.n))
-        ys.append(r.median)
-    return _least_squares(xs, ys)
+    rows = _fit_rows(table)
+    return _least_squares([math.log(r.n) for r in rows], [r.median for r in rows])

@@ -24,7 +24,7 @@ from .fricke import (FrickePoint, ParabolicWordError, collar_width,
                      distance_proxy, geodesic_length, holonomy, minimize_length,
                      rose_minimizer)
 from .intersect import (EdgePath, brute_min_crossings, check_invariance,
-                        check_quadratic_bound, intersection, linked_masks,
+                        check_quadratic_bound, intersection, linked_passages,
                         self_intersection)
 from .ribbon import (PermRep, RibbonGraph, SurfaceSignature, boundary_words,
                      cover, elevations, pair_of_pants, project_elevation,
@@ -194,7 +194,7 @@ def verify_covers(fast=True):
         # the levels up to d_max that the search skipped hold no
         # embedded elevation, so no degree lies below the clique bound
         root, power = c.primitive_root()
-        masks = linked_masks(EdgePath.from_word(root, pt))
+        masks = linked_passages(EdgePath.from_word(root, pt))[2]
         require(all(_embedded_walk(root.letters, power, masks, 2, d) is None
                     for d in range(1, min(res.lower_bound, res.d_max + 1))),
                 "clique bound skipped the degree")

@@ -22,6 +22,7 @@ closed form, from the class's primitive root and the rank, and
 from __future__ import annotations
 
 import functools
+import itertools
 import struct
 from dataclasses import dataclass
 from math import isqrt
@@ -404,13 +405,16 @@ def primitive_class_count(rank: int, k: int) -> int:
     return rest // k
 
 
+@functools.lru_cache(maxsize=64)
+def _ball_sizes(rank: int, n: int) -> tuple[int, ...]:
+    """|B_k| for k = 0..n: the running sums of the sphere sizes."""
+    return tuple(itertools.accumulate(sphere_size(BallSpec(rank, k))
+                                      for k in range(n + 1)))
+
+
 def ball_size(spec: BallSpec) -> int:
     """Number of elements at distance at most ``spec.radius``."""
-    r, n = spec.rank, spec.radius
-    total = 1
-    for k in range(1, n + 1):
-        total += 2 * r * (2 * r - 1) ** (k - 1)
-    return total
+    return _ball_sizes(spec.rank, spec.radius)[-1]
 
 
 def check_conjugacy_bound(c: CyclicWord, n: int, count: int) -> int:

@@ -4,10 +4,10 @@ A ray is a callable j -> dart: the j-th outgoing dart along an infinite
 reduced path in the universal cover, based at a common lift of a vertex.
 ``primitive_self_count`` compares rays pairwise and weights each linked pair
 by 1/overlap; ``tests/test_kernel.py`` checks ``self_intersection`` and
-``linked_masks`` against it, and ``tests/test_intersect.py`` builds its
-translate-counting oracle for ``spiraling`` from the same rays.  The file
-name has no ``test_`` prefix, so pytest imports it from the tests but does
-not collect it.
+the masks of ``linked_passages`` against it, and ``tests/test_intersect.py``
+builds its translate-counting oracle for ``spiraling`` from the same rays.
+The file name has no ``test_`` prefix, so pytest imports it from the tests
+but does not collect it.
 
 ``_sorted_ends`` is the kernel's former end order, one tuple key (rank of
 the first dart, turns, passage) per end with every key 2 * max(len) - 1

@@ -10,8 +10,7 @@ from randcurve.covers import (CoverSearchError, DegreeSearchResult, Partition,
                               hook_degree, mednykh_count, partitions,
                               simple_lifting_degree,
                               subgroup_count_by_enumeration, transitive_reps)
-from randcurve.intersect import (EdgePath, linked_masks, linked_passages,
-                                 self_intersection)
+from randcurve.intersect import EdgePath, linked_passages, self_intersection
 from randcurve.ribbon import (PermRep, elevations, pair_of_pants, perm_cycles,
                               perm_orbit_count, punctured_torus)
 from randcurve.stats import _max_spiraling
@@ -79,7 +78,7 @@ def _degree_by_enumeration(gamma, g, d_max, exhaustive=False):
         raise CoverSearchError("degree search expects a one-vertex spine")
     root, power = gamma.primitive_root()
     letters = root.letters
-    masks = linked_masks(EdgePath.from_word(root, g))
+    masks = linked_passages(EdgePath.from_word(root, g))[2]
     rank = g.rank
     for d in range(1, d_max + 1):
         perms = list(permutations(range(d)))
@@ -227,7 +226,7 @@ def test_backtracking_matches_enumeration_on_long_walks():
 
 def _root_masks(c):
     root, power = c.primitive_root()
-    return root, power, linked_masks(EdgePath.from_word(root, PT))
+    return root, power, linked_passages(EdgePath.from_word(root, PT))[2]
 
 
 def _walks(seed, n, count):
@@ -255,7 +254,8 @@ def test_clique_bound_matches_networkx():
     walks = [c for n in (40, 60, 80, 120) for c in _walks(n, n, 8)]
     for g, cases in ((PT, classes + walks), (pair_of_pants(), classes)):
         for c in cases:
-            lo, hi, masks = linked_passages(EdgePath.from_word(c.primitive_root()[0], g))
+            lo, hi, masks, _ = linked_passages(
+                EdgePath.from_word(c.primitive_root()[0], g))
             assert clique_number(lo, hi) == _clique_number_by_networkx(nx, masks), c
 
 

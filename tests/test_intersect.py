@@ -6,7 +6,8 @@ import statistics
 import pytest
 
 from randcurve.intersect import (BudgetExceeded, EdgePath, IntersectionError,
-                                 _dart_text, _darts_of, _simple_core,
+                                 _dart_text, _darts_of, _letter_table,
+                                 _simple_core,
                                  brute_min_crossings,
                                  check_invariance, intersection,
                                  self_intersection, spiraling)
@@ -313,14 +314,11 @@ def _check_letter_table(gamma, g):
     """``_darts_of`` and ``_dart_text`` against ``dart_for_letter`` letter by
     letter and ``primitive_root``."""
     darts = tuple(g.dart_for_letter(x) for x in gamma.letters)
-    d, text = _darts_of(gamma.letters, g)
-    assert d == darts, gamma
+    text = "".join(map(chr, darts))
+    assert _darts_of(gamma.letters, g) == (darts, text), gamma
     _dart_text.cache_clear()
-    assert _dart_text(gamma, g) == (darts, "".join(map(chr, darts)),
+    assert _dart_text(gamma, g) == (darts, text,
                                     gamma.primitive_root()[0].letters), gamma
-    # the string is None only where a dart is past the table's characters
-    assert (text is None) == (max(darts) >= 0xFFFE), gamma
-    assert text is None or text == _dart_text(gamma, g)[1]
 
 
 def test_letter_table_matches_dart_for_letter():
@@ -350,8 +348,9 @@ def test_letter_table_matches_dart_for_letter():
 
 def test_letter_table_holds_no_dart_as_its_undefined_mark():
     # U+FFFE marks an undefined byte of a charmap table, so letter c, whose
-    # dart is 0xFFFE, must still read as that dart; letter b's darts are
-    # surrogate code points
+    # dart is 0xFFFE, must still read as that dart; the table leaves letters
+    # b and c, whose darts are 0xD800 or more, undefined, so a word with
+    # either takes dart_for_letter, and a word of a alone does not
     n = 0x10000
     label = [1 if d % 2 == 0 else -1 for d in range(n)]
     label[0xD800:0xD802] = [2, -2]
@@ -359,6 +358,9 @@ def test_letter_table_holds_no_dart_as_its_undefined_mark():
     g = RibbonGraph(range(n), [d ^ 1 for d in range(n)], label, 3)
     assert [g.dart_for_letter(x) for x in (2, -2, 3, -3)] == [0xD800, 0xD801,
                                                               0xFFFE, 0xFFFF]
+    table = _letter_table(g)
+    assert [table[x & 0xFF] for x in (2, -2, 3, -3)] == ["\ufffe"] * 4
+    assert table[1] != "\ufffe" != table[-1 & 0xFF]
     for s in ("abAB", "b", "aBB", "abcABC", "c", "C", "cc", "aCbB", "bcbc"):
         _check_letter_table(CyclicWord.from_string(s, 3), g)
 

@@ -1,7 +1,8 @@
 """The sorted-ends linked-pair kernel against independent oracles.
 
-- ``linked_masks`` against the scalar ray comparison ``_linked`` of
-  ``ray_oracle`` applied to every pair of passages at a common vertex;
+- the masks of ``linked_passages`` against the scalar ray comparison
+  ``_linked`` of ``ray_oracle`` applied to every pair of passages at a
+  common vertex;
 - ``self_intersection`` against ``ray_oracle.primitive_self_count``, which
   weights linked passage pairs by 1/overlap instead of reading the start of
   the shared segment;
@@ -22,7 +23,7 @@ from pathlib import Path
 from randcurve import intersect
 from randcurve.intersect import (EdgePath, _sorted_ends, _steps,
                                  brute_min_crossings, intersection,
-                                 linked_masks, self_intersection)
+                                 linked_passages, self_intersection)
 from randcurve.ribbon import (PermRep, RibbonGraph, elevations,
                               genus2_boundary1, pair_of_pants, punctured_torus)
 from randcurve.words import CyclicWord, Word, alphabet_letters, cyclic_classes, \
@@ -92,7 +93,7 @@ def test_linked_masks_match_scalar_rays():
     paths += list(primitive_paths(G2, cyclic_classes(3, rank=4)))
     paths += elevation_paths(41, 120)
     for p in paths:
-        assert list(linked_masks(p)) == scalar_linked_masks(p), p.darts
+        assert list(linked_passages(p)[2]) == scalar_linked_masks(p), p.darts
 
 
 def test_self_count_matches_oracle_on_every_short_class():
@@ -138,7 +139,8 @@ def test_kernel_on_a_vertex_of_300_darts():
         root, k = p.primitive_root()
         assert self_intersection(p) == \
             k * k * primitive_self_count(root) + k - 1, p.darts
-        assert list(linked_masks(root)) == scalar_linked_masks(root), root.darts
+        assert list(linked_passages(root)[2]) == scalar_linked_masks(root), \
+            root.darts
         top = max(top, *((pos[d] - pos[g.pair[q]]) % g.dart_count
                          for q, d in zip(p.darts[-1:] + p.darts[:-1], p.darts)))
     assert top > 255

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import randcurve.covers as covers
+import randcurve.intersect as intersect
 import randcurve.stats as stats
 from randcurve.fricke import ParabolicWordError, minimize_length
 from randcurve.intersect import IntersectionError, spiraling
@@ -345,7 +346,7 @@ SAMPLED_PINS = [
     pytest.param(
         dict(experiment="minimizer", n_grid=(4, 6, 10), samples=6, seed=0),
         "n,samples,median,q1,q3,mean,max\n"
-        "4,1,0.0,0.0,0.0,0.0,0.0\n"
+        "4,0,nan,nan,nan,nan,nan\n"
         "6,3,0.4514889387026157,0.44737596107466115,0.6135009198182565,"
         "0.5567549410277398,0.7755129009338972\n"
         "10,2,0.39630549135925514,0.3365779655164548,0.45603301720205547,"
@@ -411,6 +412,22 @@ def test_fit_degenerate_errors():
         fit_power_law(ExperimentTable(rows, {}))
 
 
+def test_empty_row_has_no_samples_and_no_fit():
+    # every sample at n = 40 is a not-found degree, so the row has no value
+    cfg = ExperimentConfig(experiment="lifting", n_grid=(40,), samples=10,
+                           seed=0, d_max=1, retain_raw=True)
+    t = run_experiment(cfg)
+    assert t.raw == {40: []}
+    assert t.to_csv() == ("n,samples,median,q1,q3,mean,max\n"
+                          "40,0,nan,nan,nan,nan,nan\n")
+    rows = [RowStats(n, 1, float(n), 0, 0, 0, 0) for n in (5, 10, 20)]
+    table = ExperimentTable(rows + t.rows, {})
+    for fit in (fit_power_law, fit_log_law):
+        with pytest.raises(ConfigError, match="^cannot fit: the row at n = 40 "
+                                              "has no samples$"):
+            fit(table)
+
+
 def test_conj_ball_experiment():
     cfg = ExperimentConfig(experiment="conj-ball", n_grid=(4, 6), samples=1)
     t = run_experiment(cfg)
@@ -426,7 +443,8 @@ def test_conj_ball_counts_violations(monkeypatch):
     t = run_experiment(cfg)
     assert t.metadata["violations"] == sum(
         1 for n in (3, 4) for c in cyclic_classes(4) if len(c) <= n)
-    assert [(r.n, r.samples, r.max) for r in t.rows] == [(3, 1, 0.0), (4, 1, 0.0)]
+    assert [(r.n, r.samples) for r in t.rows] == [(3, 0), (4, 0)]
+    assert all(math.isnan(r.max) for r in t.rows)
     assert t.raw == {3: [], 4: []}
 
 
@@ -784,6 +802,33 @@ def test_class_memo_scope_on_a_lifting_run(monkeypatch):
     with pytest.raises(InvariantViolation, match="forced"):
         run_experiment(cfg)
     assert stats._class_memo == {}
+
+
+def test_lifting_sorts_each_class_ends_once(monkeypatch):
+    # the bound check's self_intersection reads the root's linked passages
+    # that the degree search cached, so a measured class sorts its ends once
+    cfg = ExperimentConfig(experiment="lifting", n_grid=(4, 8), samples=20,
+                           seed=0, d_max=2)
+    run_experiment(cfg)  # caches the generator cores that spiraling checks
+    intersect.linked_passages.cache_clear()
+    sorts, outcomes = [], []
+    passages, measure = intersect._passages, stats._measure_class
+
+    def counted_passages(*args):
+        sorts.append(args)
+        return passages(*args)
+
+    def counted_measure(config, gamma):
+        out = measure(config, gamma)
+        outcomes.append((out[0], gamma.primitive_root()[1] > 1))
+        return out
+
+    monkeypatch.setattr(intersect, "_passages", counted_passages)
+    monkeypatch.setattr(stats, "_measure_class", counted_measure)
+    run_experiment(cfg)
+    assert len(sorts) == len(outcomes)
+    assert {("found", True), ("found", False), ("not_found", True),
+            ("not_found", False)} <= set(outcomes)
 
 
 def test_long_classes_bypass_the_memo(monkeypatch):
