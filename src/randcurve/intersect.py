@@ -15,7 +15,11 @@ every comparison, only while two of them are equal.  A passage owns the
 interval between its two ends, and two passages are linked when their
 intervals overlap.  The intervals and masks are kept, as tuples, for the
 last path (``linked_passages``), so a lifting sample's self-intersection,
-clique number and cover search share one sort of its root's ends.  Two
+clique number and cover search share one sort of its root's ends.
+``intersection(p, q)`` sorts only the ends of q's primitive root, with
+their prefix XOR and first-dart blocks, and places each end of p's root
+among them by bisection in one C-level map (``_located``): O((|p| + |q|)
+log |q|) comparisons of keys.  Two
 crossing lines share a segment of one or more vertices; a linked pair
 counts only at the vertex where that segment starts, which the XOR mask of
 the block of ends leaving by one dart tells, so each crossing is counted
@@ -67,11 +71,13 @@ from __future__ import annotations
 
 import re
 import struct
+from bisect import bisect_left
 from codecs import charmap_decode, utf_32_le_encode
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import permutations, product
+from functools import lru_cache, partial
+from itertools import accumulate, permutations, product
 from math import factorial, prod
+from operator import and_, invert, xor
 
 from .ribbon import RibbonGraph
 from .words import (CyclicWord, InvariantViolation, Word, WordError, _period,
@@ -130,11 +136,8 @@ class EdgePath:
     def class_key(self):
         """Canonical key of the unoriented free homotopy class: the least
         rotation of the darts or of the inverse darts."""
-        keys = []
-        for darts in (self.darts, self.inverse().darts):
-            k = least_rotation(darts)
-            keys.append(darts[k:] + darts[:k])
-        return min(keys)
+        return min(d[k:] + d[:k] for d in (self.darts, self.inverse().darts)
+                   for k in [least_rotation(d)])
 
 
 @lru_cache(maxsize=16)
@@ -187,14 +190,6 @@ def _darts_of(letters, g: RibbonGraph) -> tuple[tuple[int, ...], str]:
 # have degree 1,055.  ``_steps`` refuses a larger graph.  A cover's vertices
 # have the degrees of the base's, at most 52 on a rose.
 #
-# The ends of a path are periodic with its length, so two distinct ends of
-# paths of lengths nu and nv differ within nu + nv - 1 darts (Fine-Wilf),
-# and m = 2 * max(nu, nv) - 1 codes decide every comparison.  Most ends
-# differ within a few darts, so the keys are cut to h = min(32, m) codes and
-# widened fourfold, up to m, only while two are equal: distinct prefixes
-# decide every comparison.  Equal full keys are equal ends, which only
-# powers of one root have; they are ordered by passage.
-#
 # The ends that leave by one dart b are consecutive in that order, and no
 # passage has both ends among them (its path would backtrack), so the XOR of
 # 1 << j over them is the mask of the passages touching b.
@@ -221,48 +216,60 @@ def _steps(g: RibbonGraph):
                                   for r in row)
 
 
-def _sorted_ends(g: RibbonGraph, paths) -> tuple[list[int], list[int]]:
-    """The passages of ``paths``, numbered consecutively over the paths,
-    listed in the order of their ends: each passage appears twice, once for
-    its forward end and once for its backward end; and the first dart of
-    each end, in the same order."""
-    codes = _steps(g)[0]
-    pair = g.pair
+def _end_keys(g: RibbonGraph, paths, tied):
+    """The keys of the ends F_0, ..., F_{n-1}, B_0, ..., B_{n-1} of each
+    closed path of ``paths``, and the first dart of each end in the same
+    order, one list per path.
+
+    The ends of a path are periodic with its length, so two distinct ends
+    of paths of lengths nu and nv differ within nu + nv - 1 darts
+    (Fine-Wilf), and m = 2 * max(len) - 1 codes decide every comparison;
+    equal keys of m codes are equal ends, which only powers of one root
+    have.  Most ends differ within a few darts, so the keys are cut to the
+    first width h of min(32, m), then fourfold wider up to m, at which
+    ``tied``, given the lists of keys, is false: the ties it names are
+    decided by keys of h codes."""
+    codes, pair = _steps(g)[0], g.pair
     m = 2 * max(map(len, paths)) - 1
-    runs, owners, firsts = [], [], []  # runs: (codes, where each end starts)
-    first = 0
+    runs, firsts = [], []
     for darts in paths:
         n = len(darts)
         back = [pair[d] for d in reversed(darts)]
         # B_j is the end of ``back`` from index n - j (mod n: codes repeat)
-        for seq, starts in ((darts, range(n)), (back, range(n, 0, -1))):
-            enc = "".join([codes[q][r] for q, r in zip(seq, seq[1:] + seq[:1])])
-            runs.append((enc * (m // n + 2), starts))
-        owners += [*range(first, first + n)] * 2
-        firsts += darts
-        firsts += back[:1] + back[:0:-1]
-        first += n
+        runs.append([("".join([codes[q][r] for q, r in zip(s, s[1:] + s[:1])])
+                      * (m // n + 2), starts) for s, starts in
+                     ((darts, range(n)), (back, range(n, 0, -1)))])
+        firsts.append([*darts, *back[:1], *back[:0:-1]])
     h = min(32, m)
-    keys = [enc[i:i + h] for enc, starts in runs for i in starts]
-    while h < m and len(set(keys)) < len(keys):
+    while True:
+        keys = [[enc[i:i + h] for enc, starts in run for i in starts]
+                for run in runs]
+        if h == m or not tied(*keys):
+            return keys, firsts
         h = min(4 * h, m)
-        keys = [enc[i:i + h] for enc, starts in runs for i in starts]
-    # the sort is stable, and the ends are listed by path, then by passage
-    # within each direction: equal full keys are ordered by passage
+
+
+def _sorted_ends(g: RibbonGraph, darts) -> tuple[list[int], list[int]]:
+    """The passages of the closed path ``darts`` listed in the order of their
+    ends: each passage appears twice, once for its forward end and once for
+    its backward end; and the first dart of each end, in the same order."""
+    (keys,), (firsts,) = _end_keys(g, [darts],
+                                   lambda keys: len(set(keys)) < len(keys))
+    # the sort is stable: equal full keys are ordered by passage
     order = sorted(range(len(keys)), key=keys.__getitem__)
+    owners = [*range(len(darts))] * 2
     return [*map(owners.__getitem__, order)], [*map(firsts.__getitem__, order)]
 
 
-def _passages(g: RibbonGraph, paths):
-    """Passage i owns the interval from ``lo[i]`` to ``hi[i]``, the places of
-    its ends in ``_sorted_ends``; bit j of ``masks[i]`` is set when passages
-    i and j are linked, that is, when their intervals overlap, and bit j of
-    ``touch[i]`` when an end of passage j leaves by the first dart of B_i."""
-    order, firsts = _sorted_ends(g, paths)
-    lo = [-1] * (len(order) // 2)
-    hi = lo[:]
-    prefix = [0]  # prefix[k]: XOR of 1 << j over the first k sorted ends
-    x = 0
+def _passages(g: RibbonGraph, darts):
+    """Passage i of the closed path ``darts`` owns the interval from
+    ``lo[i]`` to ``hi[i]``, the places of its ends in ``_sorted_ends``; bit
+    j of ``masks[i]`` is set when passages i and j are linked, that is, when
+    their intervals overlap, and bit j of ``touch[i]`` when an end of
+    passage j leaves by the first dart of B_i."""
+    order, firsts = _sorted_ends(g, darts)
+    lo, hi = [-1] * len(darts), [-1] * len(darts)
+    prefix, x = [0], 0  # prefix[k]: XOR of 1 << j over the first k ends
     for k, j in enumerate(order):
         if lo[j] < 0:
             lo[j] = k
@@ -275,7 +282,30 @@ def _passages(g: RibbonGraph, paths):
              for a, b in zip([0, *cuts], [*cuts, len(order)])}
     pair = g.pair
     return (lo, hi, [prefix[h] ^ prefix[l + 1] for l, h in zip(lo, hi)],
-            [block[pair[d[i - 1]]] for d in paths for i in range(len(d))])
+            [block[pair[d]] for d in darts[-1:] + darts[:-1]])
+
+
+def _located(g: RibbonGraph, u, v):
+    """``at``, ``masks`` and ``touch`` of the closed path ``u`` against the
+    closed path ``v``.  ``at[e]`` is the number of v's ends before end e of
+    u, F_0, ..., F_{n-1}, B_0, ..., B_{n-1} (n = len(u)), an end of u coming
+    before the equal ends of v.  Bit j of ``masks[s]`` is set when passage s
+    of u and passage j of v are linked, and bit j of ``touch[s]`` when an
+    end of v's passage j leaves by the first dart of B_s.  Only v's ends are
+    sorted; u's are placed among them by bisection, so the keys widen while
+    two of v's, or one of u's and one of v's, are equal."""
+    (kv, ku), (firsts_v, firsts) = _end_keys(
+        g, [v, u], lambda kv, ku: len(s := set(kv)) < len(kv)
+        or not s.isdisjoint(ku))
+    order = sorted(range(len(kv)), key=kv.__getitem__)
+    nv, n = len(v), len(u)
+    prefix = [*accumulate([1 << i % nv for i in order], xor, initial=0)]
+    block = dict.fromkeys(firsts + firsts_v, 0)  # dart -> XOR over v's ends
+    for i, b in enumerate(firsts_v):
+        block[b] ^= 1 << i % nv
+    at = [*map(partial(bisect_left, [*map(kv.__getitem__, order)]), ku)]
+    xs = [*map(prefix.__getitem__, at)]
+    return at, [*map(xor, xs, xs[n:])], [*map(block.__getitem__, firsts[n:])]
 
 
 @lru_cache(maxsize=1)
@@ -285,12 +315,12 @@ def linked_passages(path: EdgePath) -> tuple[tuple[int, ...], ...]:
     positions i and j are linked.  Kept for the last path, because a lifting
     sample reads them for its self-intersection and its cover search;
     tuples, since callers share them."""
-    return tuple(map(tuple, _passages(path.graph, [path.darts])))
+    return tuple(map(tuple, _passages(path.graph, path.darts)))
 
 
-def _ordered_crossings(masks, touch, targets: int) -> int:
+def _ordered_crossings(masks, touch) -> int:
     """Linked ordered pairs (s, t), s a passage of ``masks`` and t a bit of
-    ``targets``, whose lines' shared segment starts at the vertex of the
+    ``masks[s]``, whose lines' shared segment starts at the vertex of the
     passages: B_s(0) is neither B_t(0) nor F_t(0), so t is not in
     ``touch[s]``.
 
@@ -298,9 +328,9 @@ def _ordered_crossings(masks, touch, targets: int) -> int:
     is seen at each of them; the start rule keeps the first vertex along s.
     Equal ends (powers of one root) belong to passages on one line, which the
     start rule always skips.  ``masks`` and ``touch`` are those of
-    ``_passages``.
+    ``_passages`` or ``_located``.
     """
-    return sum([(m & targets & ~t).bit_count() for m, t in zip(masks, touch)])
+    return sum(map(int.bit_count, map(and_, masks, map(invert, touch))))
 
 
 def self_intersection(p: EdgePath) -> int:
@@ -311,9 +341,8 @@ def self_intersection(p: EdgePath) -> int:
     k-1 for closing the cable.
     """
     root, k = p.primitive_root()
-    n = len(root)
     _, _, masks, touch = linked_passages(root)
-    ordered = _ordered_crossings(masks, touch, (1 << n) - 1)
+    ordered = _ordered_crossings(masks, touch)
     require(ordered % 2 == 0, "odd ordered crossing count: invariant violated")
     return k * k * (ordered // 2) + (k - 1)
 
@@ -334,7 +363,14 @@ def check_invariance(p: EdgePath, i: int, shift: int) -> None:
 
 
 def intersection(p: EdgePath, q: EdgePath) -> int:
-    """Geometric intersection number of two distinct unoriented classes."""
+    """Geometric intersection number of two distinct unoriented classes.
+
+    The ends of q's primitive root are sorted and each end of p's root is
+    placed among them by bisection, O((|p| + |q|) log |q|) comparisons of
+    keys; passage s of p is linked with the passages of q that have one end
+    between the places of F_s and B_s.  A proper power counts each crossing
+    of the roots once per pair of strands.
+    """
     g, h = p.graph, q.graph
     if g is not h and (g.nxt, g.pair, g.label) != (h.nxt, h.pair, h.label):
         raise IntersectionError("paths live on different graphs")
@@ -343,10 +379,7 @@ def intersection(p: EdgePath, q: EdgePath) -> int:
             "classes agree up to conjugacy and inversion; use self_intersection")
     ru, k = p.primitive_root()
     rv, m = q.primitive_root()
-    nu, nv = len(ru), len(rv)
-    _, _, masks, touch = _passages(g, [ru.darts, rv.darts])
-    count = _ordered_crossings(masks[:nu], touch, ((1 << nv) - 1) << nu)
-    return k * m * count
+    return k * m * _ordered_crossings(*_located(g, ru.darts, rv.darts)[1:])
 
 
 # --- band-diagram oracle ---------------------------------------------------
@@ -369,9 +402,7 @@ def brute_min_crossings(paths) -> int:
     their total number, the product over edges of (traversals)!, may not
     exceed ``MAX_ORDERINGS``.
     """
-    if isinstance(paths, EdgePath):
-        paths = [paths]
-    paths = list(paths)
+    paths = [paths] if isinstance(paths, EdgePath) else list(paths)
     if not paths:
         raise IntersectionError("no paths given")
     g = paths[0].graph

@@ -152,10 +152,11 @@ def verify_intersect(fast=True):
             str.maketrans("abAB", "bABa")), 2)
         require(self_intersection(EdgePath.from_word(relabeled, pt)) == si,
                 "not relabeling invariant")
-    # symmetry of intersection
-    for _ in range(30):
-        u = cyclic_reduce(uniform_reduced_word(rng, 2, rng.randrange(1, 7)))
-        v = cyclic_reduce(uniform_reduced_word(rng, 2, rng.randrange(1, 7)))
+    # symmetry of intersection: classes of 1-6 letters, then a class of 1-3
+    # letters against one of 20-60, so that each places the other's ends
+    for lu, lv in [((1, 7), (1, 7))] * 30 + [((1, 4), (20, 61))] * 20:
+        u = cyclic_reduce(uniform_reduced_word(rng, 2, rng.randrange(*lu)))
+        v = cyclic_reduce(uniform_reduced_word(rng, 2, rng.randrange(*lv)))
         pu, pv = EdgePath.from_word(u, pt), EdgePath.from_word(v, pt)
         if pu.class_key() != pv.class_key():  # intersection takes distinct classes
             require(intersection(pu, pv) == intersection(pv, pu),

@@ -11,8 +11,11 @@ but does not collect it.
 
 ``_sorted_ends`` is the kernel's former end order, one tuple key (rank of
 the first dart, turns, passage) per end with every key 2 * max(len) - 1
-turns long; ``tests/test_kernel.py`` checks the string-keyed order of
-``intersect._sorted_ends`` against it.
+turns long, over one path or several; ``tests/test_kernel.py`` checks the
+string-keyed order of ``intersect._sorted_ends`` and the places of
+``intersect._located`` against it.  ``two_path_crossings`` reads
+``intersection`` off that order of two roots' ends, with the prefix XOR and
+the start rule.
 """
 
 from randcurve.intersect import EdgePath
@@ -120,6 +123,12 @@ def _sorted_ends(g: RibbonGraph, paths) -> list[int]:
     """The passages of ``paths``, numbered consecutively over the paths,
     listed in the order of their ends: each passage appears twice, once for
     its forward end and once for its backward end."""
+    return [owner for owner, _ in ends_in_order(g, paths)]
+
+
+def ends_in_order(g: RibbonGraph, paths) -> list[tuple[int, bool]]:
+    """``(passage, backward)`` for each end of ``paths`` in the order of
+    ``_sorted_ends``."""
     pair = g.pair
     pos = g._pos_in_vertex
     deg = [len(g.vertices[v]) for v in g.vertex_of]
@@ -143,7 +152,34 @@ def _sorted_ends(g: RibbonGraph, paths) -> list[int]:
                            for q, d in zip(seq[-1:] + seq[:-1], seq)])
             enc *= m // n + 2
             for i, d in enumerate(seq):
-                ends.append((rank[d], enc[i + 1:i + 1 + m], first + sign * i % n))
+                ends.append((rank[d], enc[i + 1:i + 1 + m],
+                             first + sign * i % n, sign < 0))
         first += n
-    ends.sort()
-    return [owner for _, _, owner in ends]
+    ends.sort()  # the two ends of a passage leave by distinct darts
+    return [(owner, back) for _, _, owner, back in ends]
+
+
+def two_path_crossings(p: EdgePath, q: EdgePath) -> int:
+    """Test oracle for ``intersection``: the linked pairs (s, t), s a
+    passage of p's root and t one of q's, whose shared segment starts at
+    the vertex of the passages, times the two powers.  Linked pairs are read
+    off the prefix XOR over the tuple-keyed order of the roots' ends; the
+    start rule compares the first dart of B_s with those of F_t and B_t."""
+    (ru, k), (rv, m) = p.primitive_root(), q.primitive_root()
+    g, u, v = p.graph, ru.darts, rv.darts
+    n = len(u)
+    order = _sorted_ends(g, [u, v])
+    prefix, x, places = [0], 0, [[] for _ in range(n)]
+    for i, j in enumerate(order):
+        x ^= 1 << j
+        prefix.append(x)
+        if j < n:
+            places[j].append(i)
+    count = 0
+    for s, (lo, hi) in enumerate(places):
+        between = prefix[hi] ^ prefix[lo + 1]  # ends strictly inside
+        start = g.pair[u[s - 1]]
+        for t in range(len(v)):
+            if between >> (n + t) & 1 and start not in (v[t], g.pair[v[t - 1]]):
+                count += 1
+    return k * m * count

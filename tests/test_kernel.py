@@ -6,10 +6,12 @@
 - ``self_intersection`` against ``ray_oracle.primitive_self_count``, which
   weights linked passage pairs by 1/overlap instead of reading the start of
   the shared segment;
-- ``intersection`` against the band-diagram brute force;
-- the string-keyed end order of ``_sorted_ends`` against the tuple-keyed
-  order of ``ray_oracle._sorted_ends``, which keys every end by its first
-  dart's rank and 2 * max(len) - 1 turns.
+- ``intersection`` against the band-diagram brute force on short classes,
+  and against ``ray_oracle.two_path_crossings`` at lengths up to 300;
+- the string-keyed end order of ``_sorted_ends``, and the places of one
+  path's ends among another's that ``_located`` finds by bisection, against
+  the tuple-keyed order of ``ray_oracle._sorted_ends``, which keys every end
+  by its first dart's rank and 2 * max(len) - 1 turns.
 """
 
 import itertools
@@ -21,7 +23,7 @@ import tracemalloc
 from pathlib import Path
 
 from randcurve import intersect
-from randcurve.intersect import (EdgePath, _sorted_ends, _steps,
+from randcurve.intersect import (EdgePath, _located, _sorted_ends, _steps,
                                  brute_min_crossings, intersection,
                                  linked_passages, self_intersection)
 from randcurve.ribbon import (PermRep, RibbonGraph, elevations,
@@ -31,7 +33,7 @@ from randcurve.words import CyclicWord, Word, alphabet_letters, cyclic_classes, 
 from randcurve.stats import uniform_reduced_word
 from ray_oracle import _backward_ray, _forward_ray, _linked
 from ray_oracle import _sorted_ends as tuple_sorted_ends
-from ray_oracle import primitive_self_count
+from ray_oracle import ends_in_order, primitive_self_count, two_path_crossings
 
 PT, PP, G2 = punctured_torus(), pair_of_pants(), genus2_boundary1()
 PRESETS = (PT, PP, G2)
@@ -191,31 +193,44 @@ def test_intersection_of_powers_of_one_root_matches_brute_force():
     assert nonzero >= 4
 
 
-def assert_tuple_order(g, paths):
-    assert _sorted_ends(g, paths)[0] == tuple_sorted_ends(g, paths), paths
+def assert_tuple_order(g, darts):
+    assert _sorted_ends(g, darts)[0] == tuple_sorted_ends(g, [darts]), darts
+
+
+def assert_located(g, u, v):
+    """``_located``'s places of u's ends among v's: for end e of u (F_s is
+    s, B_s is len(u) + s), the number of v's ends before it in the tuple
+    order of the ends of both paths."""
+    n, before, places = len(u), 0, {}
+    for owner, back in ends_in_order(g, [u, v]):
+        if owner < n:
+            places[owner + n * back] = before
+        else:
+            before += 1
+    assert _located(g, u, v)[0] == [places[e] for e in range(2 * n)], (u, v)
 
 
 def test_end_order_matches_tuple_keys_on_every_short_class():
     for g in PRESETS:
         for c in cyclic_classes(8):
-            assert_tuple_order(g, [EdgePath.from_word(c, g).darts])
+            assert_tuple_order(g, EdgePath.from_word(c, g).darts)
 
 
 def test_end_order_matches_tuple_keys_on_two_paths():
-    # the roots that ``intersection`` sorts, with a root against itself and
+    # the roots that ``intersection`` reads, with a root against itself and
     # its inverse, whose ends are equal in pairs
     roots = {EdgePath.from_word(c, g).primitive_root()[0]
              for g in (PT, PP) for c in cyclic_classes(4)}
     for pu, pv in itertools.product(roots, repeat=2):
         if pu.graph is pv.graph:
-            assert_tuple_order(pu.graph, [pu.darts, pv.darts])
-            assert_tuple_order(pu.graph, [pu.darts, pv.inverse().darts])
+            assert_located(pu.graph, pu.darts, pv.darts)
+            assert_located(pu.graph, pu.darts, pv.inverse().darts)
 
 
 def test_end_order_matches_tuple_keys_on_covers_and_a_300_dart_vertex():
     paths = elevation_paths(43, 100)
     for p in paths:
-        assert_tuple_order(p.graph, [p.darts])
+        assert_tuple_order(p.graph, p.darts)
     rng = random.Random(44)
     letters = alphabet_letters(2)
     phi = PermRep(3, ((1, 2, 0), (0, 2, 1)))
@@ -225,12 +240,13 @@ def test_end_order_matches_tuple_keys_on_covers_and_a_300_dart_vertex():
                                      for _ in range(rng.randrange(2, 12))), 2))
         lifts = elevations(c, phi, PT) if len(c) else []
         if len(lifts) > 1:
-            assert_tuple_order(lifts[0].cover, [e.darts for e in lifts])
+            for e, f in itertools.permutations(lifts, 2):
+                assert_located(lifts[0].cover, e.darts, f.darts)
             checked += 1
     g, paths = rose_300_paths(151, 200)
     for p, q in zip(paths, paths[1:]):
-        assert_tuple_order(g, [p.darts])
-        assert_tuple_order(g, [p.darts, q.darts])
+        assert_tuple_order(g, p.darts)
+        assert_located(g, p.darts, q.darts)
 
 
 def test_ends_agreeing_on_32_codes_widen_their_keys(monkeypatch):
@@ -245,20 +261,114 @@ def test_ends_agreeing_on_32_codes_widen_their_keys(monkeypatch):
     a40 = "a" * 40
     cases = [
         # ends in a run of a's agree on up to 39 codes: 32 tie, 128 do not
-        (a40 + "b" + a40 + "B", False, [(32, True), (128, False)]),
-        (a40 + "bb" + a40 + "BB", False, [(32, True), (128, False)]),
-        ("bbb" + a40, False, [(32, True)]),  # then full width, 85 codes
-        # a root against its inverse meets every end twice: full width, 81
-        # codes, and the ties stay
-        (a40 + "b", True, [(32, True)]),
-        ("aabbaBBAbab", False, []),  # 21 codes are full width at once
+        (a40 + "b" + a40 + "B", [(32, True), (128, False)]),
+        (a40 + "bb" + a40 + "BB", [(32, True), (128, False)]),
+        ("bbb" + a40, [(32, True)]),  # then full width, 85 codes
+        ("aabbaBBAbab", []),  # 21 codes are full width at once
     ]
-    for word, with_inverse, expected in cases:
+    for word, expected in cases:
         checks.clear()
-        p = EdgePath.from_word(CyclicWord.from_string(word, 2), PT)
-        assert_tuple_order(PT, [p.darts, p.inverse().darts] if with_inverse
-                           else [p.darts])
+        assert_tuple_order(PT, EdgePath.from_word(
+            CyclicWord.from_string(word, 2), PT).darts)
         assert checks == expected, word
+
+
+def test_a_cross_tie_at_32_codes_widens_the_keys(monkeypatch):
+    checks = []  # (key width, two of v's keys equal, then whether a key of
+    # u equals one of v's when that is asked) per check
+
+    class Spy(set):
+        def isdisjoint(self, other):
+            out = super().isdisjoint(other)
+            checks[-1] += (not out,)
+            return out
+
+    def spy(keys):
+        checks.append((len(keys[0]), len(Spy(keys)) < len(keys)))
+        return Spy(keys)
+
+    monkeypatch.setattr(intersect, "set", spy, raising=False)
+    a, a40b = "a", "a" * 40 + "b"
+    cases = [
+        # the ends of a^40 b in its run of a's agree with a's for up to 39
+        # codes: a cross tie alone widens to full width, 81 codes; b and B
+        # turn on opposite sides of the a's, so at 32 codes one of them
+        # would be placed on the wrong side
+        (a40b, a, [(32, False, True)]),
+        ("a" * 40 + "B", a, [(32, False, True)]),
+        # one root, two classes: the ties stay at full width, and equal ends
+        # place u's end first
+        (a40b, a40b * 2, [(32, True)]),
+        ("aabbaBBAbabAbbaab", a, [(32, False, False)]),  # no tie at 32
+    ]
+    for word, other, expected in cases:
+        u, v = (EdgePath.from_word(CyclicWord.from_string(w, 2), PT)
+                .primitive_root()[0].darts for w in (word, other))
+        checks.clear()
+        assert_located(PT, u, v)
+        assert checks == expected, (word, other)
+
+
+def walk_path(rng, g, lo, hi):
+    """The path of a nontrivial walk class of ``lo`` to ``hi`` - 1 letters."""
+    while True:
+        c = cyclic_reduce(uniform_reduced_word(rng, g.rank, rng.randrange(lo, hi)))
+        if len(c):
+            return EdgePath.from_word(c, g)
+
+
+def rose_path(rng, g, pool, length):
+    """A reduced closed path of ``length`` darts of ``pool`` on a rose."""
+    while True:
+        darts = [rng.choice(pool)]
+        for _ in range(length - 1):
+            darts.append(rng.choice([d for d in pool if d != g.pair[darts[-1]]]))
+        if darts[0] != g.pair[darts[-1]]:
+            return EdgePath(g, tuple(darts))
+
+
+def assert_crossings(p, q):
+    for x, y in ((p, q), (q, p)):
+        if len(x) != len(y) or x.class_key() != y.class_key():
+            assert intersection(x, y) == two_path_crossings(x, y), \
+                (x.darts, y.darts)
+
+
+def test_intersection_matches_two_path_oracle_at_long_lengths():
+    # short curves, simple and not, powers among them, against walk classes
+    # of 20-300 darts, their powers and their roots; long against long
+    rng = random.Random(30)
+    shorts = ("a", "b", "ab", "aB", "abAB", "aab", "abab", "aaBB", "aabAB",
+              "abaBAbab")
+    for g in PRESETS:
+        longs = [walk_path(rng, g, 20, 300) for _ in range(4)]
+        longs += [EdgePath(g, p.darts * 2)
+                  for p in (walk_path(rng, g, 10, 150) for _ in range(2))]
+        for w in shorts:
+            p = EdgePath.from_word(CyclicWord.from_string(w, g.rank), g)
+            for q in rng.sample(longs, 3):
+                assert_crossings(p, q)
+        for p, q in itertools.combinations(longs, 2):
+            assert_crossings(p, q)
+        root = walk_path(rng, g, 20, 100).primitive_root()[0]
+        assert_crossings(root, EdgePath(g, root.darts * 2))
+        assert_crossings(root.inverse(), EdgePath(g, root.darts * 3))
+    # a cover: elevations of a short curve and of walk classes
+    phi = PermRep(3, ((1, 2, 0), (0, 2, 1)))
+    shorts = elevations(CyclicWord.from_string("abAB", 2), phi, PT)
+    for n in (20, 60, 100):
+        c = cyclic_reduce(uniform_reduced_word(rng, 2, n))
+        for e, f in itertools.product(shorts, elevations(c, phi, PT)):
+            assert_crossings(EdgePath(e.cover, e.darts),
+                             EdgePath(f.cover, f.darts))
+    # a vertex of 300 darts, whose turns exceed 255
+    g, paths = rose_300_paths(152, 6)
+    pool = rng.sample(range(g.dart_count), 6)
+    longs = [rose_path(rng, g, pool, rng.randrange(20, 300)) for _ in range(4)]
+    for p in paths:
+        for q in longs:
+            assert_crossings(p, q)
+    assert_crossings(longs[0], longs[1])
 
 
 def test_sorted_ends_memory_on_a_long_walk():
@@ -270,7 +380,7 @@ def test_sorted_ends_memory_on_a_long_walk():
     _steps(PT)  # the graph's tables are not part of the call
     tracemalloc.start()
     try:
-        _sorted_ends(PT, [p.darts])
+        _sorted_ends(PT, p.darts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -8,6 +8,7 @@ import statistics
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from randcurve.stats import (ConfigError, ExperimentConfig,
                              fit_log_law, fit_power_law, random_walk,
                              run_experiment, sample_ball_uniform, sample_word)
 from randcurve.words import (BallSpec, CyclicWord, InvariantViolation,
+                             _classes_with_roots,
                              alphabet_letters, ball_size,
                              check_conjugacy_bound, conjugates_in_ball,
                              cyclic_classes, cyclic_reduce,
@@ -904,3 +906,54 @@ def test_library_raises_no_assertion_error():
             if isinstance(node, ast.Raise)
             and getattr(raised(node), "id", None) == "AssertionError"]
     assert hits == []
+
+
+def _exact_law(config: ExperimentConfig, n: int, rank: int = 2):
+    """The exact law of ``_measure_class``'s value at radius ``n``, given a
+    nontrivial class, as value -> ``Fraction``, and the total mass.
+
+    The walk and the ball are radial: a reduced word of length k has chance
+    P(|X_n| = k) / |S_k| for the walk, P(|X_n| = k) from the birth-death
+    recursion of the length, and 1 / |B_n| for the ball.  R(2r-2)(2r-1)^(j-1)
+    reduced words of length |c| + 2j reduce to a class c whose primitive
+    root has R letters, and R do for j = 0; the trivial class comes from the
+    empty word alone."""
+    if config.sampler == "walk":
+        dist = [Fraction(1)] + [Fraction(0)] * n  # P(|X_t| = k), t = 0..n
+        for _ in range(n):
+            step = [Fraction(0)] * (n + 1)
+            step[1] += dist[0]
+            for k in range(1, n):
+                step[k + 1] += dist[k] * Fraction(2 * rank - 1, 2 * rank)
+                step[k - 1] += dist[k] * Fraction(1, 2 * rank)
+            dist = step
+        weight = [p / sphere_size(BallSpec(rank, k)) for k, p in enumerate(dist)]
+    else:
+        weight = [Fraction(1, ball_size(BallSpec(rank, n)))] * (n + 1)
+    mass, law = weight[0], Counter()
+    for c, root in _classes_with_roots(n, rank):
+        p = weight[len(c)] * root + sum(
+            weight[len(c) + 2 * j] * root * (2 * rank - 2) * (2 * rank - 1) ** (j - 1)
+            for j in range(1, (n - len(c)) // 2 + 1))
+        if p:
+            mass += p
+            law[stats._measure_class(config, c)[1]] += p / (1 - weight[0])
+    return law, mass
+
+
+@pytest.mark.parametrize("sampler,median,mean", [("walk", 1, "2.4159"),
+                                                  ("ball", 7, "6.8155")])
+def test_exact_self_int_law_at_n10(sampler, median, mean):
+    # the true median at n = 10 that AC5-walk's failure message cites
+    law, mass = _exact_law(ExperimentConfig(
+        experiment="self-int", n_grid=(10,), samples=1, sampler=sampler), 10)
+    assert mass == 1
+    assert sum(law.values()) == 1
+    below = 0
+    for value in sorted(law):
+        below += law[value]
+        if 2 * below >= 1:
+            break
+    assert value == median and 2 * (1 - below + law[value]) >= 1
+    assert abs(sum(v * p for v, p in law.items()) - Fraction(mean)) \
+        <= Fraction(1, 20000)  # the mean to four decimals
