@@ -216,19 +216,19 @@ def _steps(g: RibbonGraph):
                                   for r in row)
 
 
-def _end_keys(g: RibbonGraph, paths, tied):
+def _end_keys(g: RibbonGraph, paths):
     """The keys of the ends F_0, ..., F_{n-1}, B_0, ..., B_{n-1} of each
-    closed path of ``paths``, and the first dart of each end in the same
-    order, one list per path.
+    closed path of ``paths``, path after path, and the first dart of each
+    end in the same order.
 
     The ends of a path are periodic with its length, so two distinct ends
     of paths of lengths nu and nv differ within nu + nv - 1 darts
     (Fine-Wilf), and m = 2 * max(len) - 1 codes decide every comparison;
     equal keys of m codes are equal ends, which only powers of one root
     have.  Most ends differ within a few darts, so the keys are cut to the
-    first width h of min(32, m), then fourfold wider up to m, at which
-    ``tied``, given the lists of keys, is false: the ties it names are
-    decided by keys of h codes."""
+    first width h of min(32, m), and widened fourfold, up to m, while any
+    two keys of ``paths`` are equal: keys that differ within h codes
+    compare as their ends do."""
     codes, pair = _steps(g)[0], g.pair
     m = 2 * max(map(len, paths)) - 1
     runs, firsts = [], []
@@ -236,53 +236,16 @@ def _end_keys(g: RibbonGraph, paths, tied):
         n = len(darts)
         back = [pair[d] for d in reversed(darts)]
         # B_j is the end of ``back`` from index n - j (mod n: codes repeat)
-        runs.append([("".join([codes[q][r] for q, r in zip(s, s[1:] + s[:1])])
-                      * (m // n + 2), starts) for s, starts in
-                     ((darts, range(n)), (back, range(n, 0, -1)))])
-        firsts.append([*darts, *back[:1], *back[:0:-1]])
+        runs += [("".join([codes[q][r] for q, r in zip(s, s[1:] + s[:1])])
+                  * (m // n + 2), starts) for s, starts in
+                 ((darts, range(n)), (back, range(n, 0, -1)))]
+        firsts += [*darts, *back[:1], *back[:0:-1]]
     h = min(32, m)
     while True:
-        keys = [[enc[i:i + h] for enc, starts in run for i in starts]
-                for run in runs]
-        if h == m or not tied(*keys):
+        keys = [enc[i:i + h] for enc, starts in runs for i in starts]
+        if h == m or len(set(keys)) == len(keys):
             return keys, firsts
         h = min(4 * h, m)
-
-
-def _sorted_ends(g: RibbonGraph, darts) -> tuple[list[int], list[int]]:
-    """The passages of the closed path ``darts`` listed in the order of their
-    ends: each passage appears twice, once for its forward end and once for
-    its backward end; and the first dart of each end, in the same order."""
-    (keys,), (firsts,) = _end_keys(g, [darts],
-                                   lambda keys: len(set(keys)) < len(keys))
-    # the sort is stable: equal full keys are ordered by passage
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    owners = [*range(len(darts))] * 2
-    return [*map(owners.__getitem__, order)], [*map(firsts.__getitem__, order)]
-
-
-def _passages(g: RibbonGraph, darts):
-    """Passage i of the closed path ``darts`` owns the interval from
-    ``lo[i]`` to ``hi[i]``, the places of its ends in ``_sorted_ends``; bit
-    j of ``masks[i]`` is set when passages i and j are linked, that is, when
-    their intervals overlap, and bit j of ``touch[i]`` when an end of
-    passage j leaves by the first dart of B_i."""
-    order, firsts = _sorted_ends(g, darts)
-    lo, hi = [-1] * len(darts), [-1] * len(darts)
-    prefix, x = [0], 0  # prefix[k]: XOR of 1 << j over the first k ends
-    for k, j in enumerate(order):
-        if lo[j] < 0:
-            lo[j] = k
-        else:
-            hi[j] = k
-        x ^= 1 << j
-        prefix.append(x)
-    cuts = [k for k in range(1, len(order)) if firsts[k] != firsts[k - 1]]
-    block = {firsts[a]: prefix[b] ^ prefix[a]
-             for a, b in zip([0, *cuts], [*cuts, len(order)])}
-    pair = g.pair
-    return (lo, hi, [prefix[h] ^ prefix[l + 1] for l, h in zip(lo, hi)],
-            [block[pair[d]] for d in darts[-1:] + darts[:-1]])
 
 
 def _located(g: RibbonGraph, u, v):
@@ -292,30 +255,55 @@ def _located(g: RibbonGraph, u, v):
     before the equal ends of v.  Bit j of ``masks[s]`` is set when passage s
     of u and passage j of v are linked, and bit j of ``touch[s]`` when an
     end of v's passage j leaves by the first dart of B_s.  Only v's ends are
-    sorted; u's are placed among them by bisection, so the keys widen while
-    two of v's, or one of u's and one of v's, are equal."""
-    (kv, ku), (firsts_v, firsts) = _end_keys(
-        g, [v, u], lambda kv, ku: len(s := set(kv)) < len(kv)
-        or not s.isdisjoint(ku))
-    order = sorted(range(len(kv)), key=kv.__getitem__)
+    sorted; u's are placed among them by bisection."""
+    keys, firsts = _end_keys(g, [v, u])
     nv, n = len(v), len(u)
+    order = sorted(range(2 * nv), key=keys.__getitem__)
     prefix = [*accumulate([1 << i % nv for i in order], xor, initial=0)]
-    block = dict.fromkeys(firsts + firsts_v, 0)  # dart -> XOR over v's ends
-    for i, b in enumerate(firsts_v):
+    block = dict.fromkeys(firsts, 0)  # dart -> XOR over v's ends
+    for i, b in enumerate(firsts[:2 * nv]):
         block[b] ^= 1 << i % nv
-    at = [*map(partial(bisect_left, [*map(kv.__getitem__, order)]), ku)]
+    at = [*map(partial(bisect_left, [*map(keys.__getitem__, order)]),
+               keys[2 * nv:])]
     xs = [*map(prefix.__getitem__, at)]
-    return at, [*map(xor, xs, xs[n:])], [*map(block.__getitem__, firsts[n:])]
+    return (at, [*map(xor, xs, xs[n:])],
+            [*map(block.__getitem__, firsts[2 * nv + n:])])
 
 
 @lru_cache(maxsize=1)
 def linked_passages(path: EdgePath) -> tuple[tuple[int, ...], ...]:
-    """``lo``, ``hi``, ``masks`` and ``touch`` of ``_passages`` for a
-    primitive path: bit j of ``masks[i]`` is set when the passages at
-    positions i and j are linked.  Kept for the last path, because a lifting
-    sample reads them for its self-intersection and its cover search;
-    tuples, since callers share them."""
-    return tuple(map(tuple, _passages(path.graph, path.darts)))
+    """``lo``, ``hi``, ``masks`` and ``touch`` of a primitive path.  Passage
+    i owns the interval from ``lo[i]`` to ``hi[i]``, the places of its ends
+    in the sorted order of the path's ends; bit j of ``masks[i]`` is set
+    when passages i and j are linked, that is, when their intervals overlap,
+    and bit j of ``touch[i]`` when an end of passage j leaves by the first
+    dart of B_i.  Kept for the last path, because a lifting sample reads
+    them for its self-intersection and its cover search; tuples, since
+    callers share them."""
+    g, darts = path.graph, path.darts
+    n = len(darts)
+    keys, firsts = _end_keys(g, [darts])
+    # the sort is stable: equal full keys are ordered by passage
+    order = sorted(range(2 * n), key=keys.__getitem__)
+    del keys  # freed before the prefix XOR, which peaks at O(n^2) bits
+    firsts = [*map(firsts.__getitem__, order)]
+    order = [*map(([*range(n)] * 2).__getitem__, order)]  # their passages
+    lo, hi = [-1] * n, [-1] * n
+    prefix, x = [0], 0  # prefix[k]: XOR of 1 << j over the first k ends
+    for k, j in enumerate(order):
+        if lo[j] < 0:
+            lo[j] = k
+        else:
+            hi[j] = k
+        x ^= 1 << j
+        prefix.append(x)
+    cuts = [k for k in range(1, 2 * n) if firsts[k] != firsts[k - 1]]
+    block = {firsts[a]: prefix[b] ^ prefix[a]
+             for a, b in zip([0, *cuts], [*cuts, 2 * n])}
+    pair = g.pair
+    return (tuple(lo), tuple(hi),
+            tuple([prefix[h] ^ prefix[l + 1] for l, h in zip(lo, hi)]),
+            tuple([block[pair[d]] for d in darts[-1:] + darts[:-1]]))
 
 
 def _ordered_crossings(masks, touch) -> int:
@@ -328,7 +316,7 @@ def _ordered_crossings(masks, touch) -> int:
     is seen at each of them; the start rule keeps the first vertex along s.
     Equal ends (powers of one root) belong to passages on one line, which the
     start rule always skips.  ``masks`` and ``touch`` are those of
-    ``_passages`` or ``_located``.
+    ``linked_passages`` or ``_located``.
     """
     return sum(map(int.bit_count, map(and_, masks, map(invert, touch))))
 
@@ -538,7 +526,7 @@ def _end_order(g: RibbonGraph, d, p: int, q: int) -> int:
     the backward end at ``p`` and the forward end at ``q``, which leave one
     vertex: the first darts where the two ends differ, counterclockwise from
     the dart both arrived by (the turns that order the step codes of
-    ``_sorted_ends``).  Both ends have period len(d), so len(d) darts decide;
+    ``_end_keys``).  Both ends have period len(d), so len(d) darts decide;
     equal ends would make the class conjugate to its inverse."""
     L = len(d)
     prev = d[q - 1]

@@ -12,8 +12,8 @@ but does not collect it.
 ``_sorted_ends`` is the kernel's former end order, one tuple key (rank of
 the first dart, turns, passage) per end with every key 2 * max(len) - 1
 turns long, over one path or several; ``tests/test_kernel.py`` checks the
-string-keyed order of ``intersect._sorted_ends`` and the places of
-``intersect._located`` against it.  ``two_path_crossings`` reads
+string-keyed order that ``intersect.linked_passages`` reads its intervals
+off, and the places of ``intersect._located``, against it.  ``two_path_crossings`` reads
 ``intersection`` off that order of two roots' ends, with the prefix XOR and
 the start rule.
 """

@@ -173,13 +173,27 @@ def test_experiment_out_file(tmp_path):
 def test_experiment_config_file(tmp_path):
     cfg = os.path.join(tmp_path, "exp.cfg")
     with open(cfg, "w") as fh:
-        fh.write("family = self-int\nn_grid = 6, 12\nsamples = 8\nseed = 9\n")
+        fh.write("# comments and blank lines are skipped\n\n"
+                 "family = self-int\nn_grid = 6, 12\n  # samples = 3\n"
+                 "samples = 8\nseed = 9\n")
     code1, out1 = run_cli("experiment", "--config", cfg)
     assert code1 == 0
+    assert out1 == run_cli("experiment", "--family", "self-int", "--n-grid",
+                           "6,12", "--samples", "8", "--seed", "9")[1]
     # flags override file values
     code2, out2 = run_cli("experiment", "--config", cfg, "--samples", "4")
     assert code2 == 0 and out1 != out2
     assert "samples" in out1.splitlines()[0]
+
+
+def test_experiment_config_line_without_equals(tmp_path, capsys):
+    cfg = os.path.join(tmp_path, "bad.cfg")
+    with open(cfg, "w") as fh:
+        fh.write("family = self-int\nn_grid = 6\nsamples = 2\nseed 3\n")
+    code = main(["experiment", "--config", cfg])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "error: config line without '=': 'seed 3'\n"
 
 
 def test_experiment_surface_flag_overrides_config_file(tmp_path):

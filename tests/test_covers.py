@@ -149,6 +149,10 @@ def test_mednykh_values_and_enumeration():
     assert mednykh_count(2, 1) == 1
     assert mednykh_count(2, 2) == 15  # = 2^4 - 1 nonzero classes in H^1(S_2; Z/2)
     assert subgroup_count_by_enumeration(4, 2, closed_genus=2) == 15
+    # S_2 is abelian, so every transitive pair satisfies the relation at
+    # d = 2; at d = 3 it rejects most of the free count's tuples
+    assert mednykh_count(2, 3) == 220 < hall_count(4, 3) == 625
+    assert subgroup_count_by_enumeration(4, 3, closed_genus=2) == 220
     with pytest.raises(ValueError):
         mednykh_count(1, 2)
 

@@ -8,10 +8,13 @@
   the shared segment;
 - ``intersection`` against the band-diagram brute force on short classes,
   and against ``ray_oracle.two_path_crossings`` at lengths up to 300;
-- the string-keyed end order of ``_sorted_ends``, and the places of one
-  path's ends among another's that ``_located`` finds by bisection, against
-  the tuple-keyed order of ``ray_oracle._sorted_ends``, which keys every end
-  by its first dart's rank and 2 * max(len) - 1 turns.
+- the string-keyed end order that ``linked_passages`` reads its intervals
+  off, and the places of one path's ends among another's that ``_located``
+  finds by bisection, against the tuple-keyed order of
+  ``ray_oracle._sorted_ends``, which keys every end by its first dart's rank
+  and 2 * max(len) - 1 turns;
+- both counts against closed forms at lengths up to 2,000, where the keys
+  widen past 32 codes.
 """
 
 import itertools
@@ -22,15 +25,14 @@ import sys
 import tracemalloc
 from pathlib import Path
 
-from randcurve import intersect
-from randcurve.intersect import (EdgePath, _located, _sorted_ends, _steps,
+from randcurve.intersect import (EdgePath, _end_keys, _located, _steps,
                                  brute_min_crossings, intersection,
                                  linked_passages, self_intersection)
 from randcurve.ribbon import (PermRep, RibbonGraph, elevations,
                               genus2_boundary1, pair_of_pants, punctured_torus)
 from randcurve.words import CyclicWord, Word, alphabet_letters, cyclic_classes, \
     cyclic_reduce
-from randcurve.stats import uniform_reduced_word
+from randcurve.stats import _sample_word, uniform_reduced_word
 from ray_oracle import _backward_ray, _forward_ray, _linked
 from ray_oracle import _sorted_ends as tuple_sorted_ends
 from ray_oracle import ends_in_order, primitive_self_count, two_path_crossings
@@ -194,7 +196,13 @@ def test_intersection_of_powers_of_one_root_matches_brute_force():
 
 
 def assert_tuple_order(g, darts):
-    assert _sorted_ends(g, darts)[0] == tuple_sorted_ends(g, [darts]), darts
+    """The owner of each place in the end order of ``darts``, read off the
+    ``lo`` and ``hi`` of ``linked_passages``, against the tuple order."""
+    owners = [None] * (2 * len(darts))
+    for j, places in enumerate(zip(*linked_passages(EdgePath(g, darts))[:2])):
+        for k in places:
+            owners[k] = j
+    assert owners == tuple_sorted_ends(g, [darts]), darts
 
 
 def assert_located(g, u, v):
@@ -249,64 +257,49 @@ def test_end_order_matches_tuple_keys_on_covers_and_a_300_dart_vertex():
         assert_located(g, p.darts, q.darts)
 
 
-def test_ends_agreeing_on_32_codes_widen_their_keys(monkeypatch):
-    checks = []  # (key width, whether two keys are equal) per check
+def key_width(g, *paths):
+    """The width, in codes, of the keys ``_end_keys`` gives ``paths``."""
+    return len(_end_keys(g, paths)[0][0])
 
-    def spy(keys):
-        out = set(keys)
-        checks.append((len(keys[0]), len(out) < len(keys)))
-        return out
 
-    monkeypatch.setattr(intersect, "set", spy, raising=False)
+def test_ends_agreeing_on_32_codes_widen_their_keys():
     a40 = "a" * 40
     cases = [
         # ends in a run of a's agree on up to 39 codes: 32 tie, 128 do not
-        (a40 + "b" + a40 + "B", [(32, True), (128, False)]),
-        (a40 + "bb" + a40 + "BB", [(32, True), (128, False)]),
-        ("bbb" + a40, [(32, True)]),  # then full width, 85 codes
-        ("aabbaBBAbab", []),  # 21 codes are full width at once
+        (a40 + "b" + a40 + "B", 128),
+        (a40 + "bb" + a40 + "BB", 128),
+        ("bbb" + a40, 85),  # 32 tie, then full width
+        ("aabbaBBAbab", 21),  # 21 codes are full width at once
     ]
-    for word, expected in cases:
-        checks.clear()
-        assert_tuple_order(PT, EdgePath.from_word(
-            CyclicWord.from_string(word, 2), PT).darts)
-        assert checks == expected, word
+    for word, width in cases:
+        darts = EdgePath.from_word(CyclicWord.from_string(word, 2), PT).darts
+        assert_tuple_order(PT, darts)
+        assert key_width(PT, darts) == width, word
 
 
-def test_a_cross_tie_at_32_codes_widens_the_keys(monkeypatch):
-    checks = []  # (key width, two of v's keys equal, then whether a key of
-    # u equals one of v's when that is asked) per check
-
-    class Spy(set):
-        def isdisjoint(self, other):
-            out = super().isdisjoint(other)
-            checks[-1] += (not out,)
-            return out
-
-    def spy(keys):
-        checks.append((len(keys[0]), len(Spy(keys)) < len(keys)))
-        return Spy(keys)
-
-    monkeypatch.setattr(intersect, "set", spy, raising=False)
+def test_a_cross_tie_at_32_codes_widens_the_keys():
     a, a40b = "a", "a" * 40 + "b"
     cases = [
         # the ends of a^40 b in its run of a's agree with a's for up to 39
-        # codes: a cross tie alone widens to full width, 81 codes; b and B
-        # turn on opposite sides of the a's, so at 32 codes one of them
-        # would be placed on the wrong side
-        (a40b, a, [(32, False, True)]),
-        ("a" * 40 + "B", a, [(32, False, True)]),
+        # codes: the keys widen to full width, 81 codes; b and B turn on
+        # opposite sides of the a's, so at 32 codes one of them would be
+        # placed on the wrong side
+        (a40b, a, 81),
+        ("a" * 40 + "B", a, 81),
+        # a^33 b agrees with a on 32 codes, and no two of its own ends do:
+        # a cross tie alone widens to full width, 67 codes
+        ("a" * 33 + "b", a, 67),
+        ("a" * 33 + "B", a, 67),
         # one root, two classes: the ties stay at full width, and equal ends
         # place u's end first
-        (a40b, a40b * 2, [(32, True)]),
-        ("aabbaBBAbabAbbaab", a, [(32, False, False)]),  # no tie at 32
+        (a40b, a40b * 2, 81),
+        ("aabbaBBAbabAbbaab", a, 32),  # no tie at 32
     ]
-    for word, other, expected in cases:
+    for word, other, width in cases:
         u, v = (EdgePath.from_word(CyclicWord.from_string(w, 2), PT)
                 .primitive_root()[0].darts for w in (word, other))
-        checks.clear()
         assert_located(PT, u, v)
-        assert checks == expected, (word, other)
+        assert key_width(PT, v, u) == width, (word, other)
 
 
 def walk_path(rng, g, lo, hi):
@@ -371,6 +364,52 @@ def test_intersection_matches_two_path_oracle_at_long_lengths():
     assert_crossings(longs[0], longs[1])
 
 
+def test_self_count_of_a_k_b_k_is_k_minus_1_squared():
+    # ends in the runs of a^k b^k agree on up to 2k - 2 codes, so past
+    # k = 17 the keys widen beyond 32 codes
+    for k in (4, 10, 50, 200, 1000):
+        p = EdgePath.from_word(CyclicWord.from_string("a" * k + "b" * k, 2), PT)
+        d = p.darts
+        for q in (p, p.inverse(), EdgePath(PT, d[1:] + d[:1]),
+                  EdgePath(PT, d[3 * k // 2:] + d[:3 * k // 2])):
+            assert self_intersection(q) == (k - 1) ** 2, k
+
+
+def test_boundary_curves_of_the_pants_meet_no_class():
+    # a and b are boundary curves of the pair of pants
+    a, b = (EdgePath.from_word(CyclicWord.from_string(w, 2), PP) for w in "ab")
+    checked = 0
+    for c in cyclic_classes(8):
+        if c.letters not in ((1,), (-1,), (2,), (-2,)):
+            p = EdgePath.from_word(c, PP)
+            assert intersection(p, a) == intersection(p, b) == 0, c
+            checked += 2
+    assert checked == 2764
+
+
+def test_intersection_with_a_bounds_the_b_exponent_on_long_walks():
+    # i(w, a) is at least the algebraic intersection |e_b(w)|, with its
+    # parity
+    a = EdgePath.from_word(CyclicWord.from_string("a", 2), PT)
+    for n in (200, 1000, 2000):
+        for index in range(10):
+            c = cyclic_reduce(_sample_word("walk", 2, (0.25,) * 4, n, 3, index))
+            e = c.letters.count(2) - c.letters.count(-2)
+            p = EdgePath.from_word(c, PT)
+            for i in (intersection(p, a), intersection(a, p)):
+                assert i >= abs(e) and (i - e) % 2 == 0, (n, index, i, e)
+
+
+def traced_peak(call):
+    """The tracemalloc peak, in bytes, of ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_sorted_ends_memory_on_a_long_walk():
     # keys of 32 codes: the full keys of ``ray_oracle._sorted_ends``, of
     # 2 * 2,100 - 1 turns each, peak at 17.5 MB on this walk
@@ -378,13 +417,14 @@ def test_sorted_ends_memory_on_a_long_walk():
     p = EdgePath.from_word(cyclic_reduce(uniform_reduced_word(rng, 2, 2100)), PT)
     assert len(p) > 2000
     _steps(PT)  # the graph's tables are not part of the call
-    tracemalloc.start()
-    try:
-        _sorted_ends(PT, p.darts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 2 ** 20, peak
+
+    def sort_ends():
+        keys = _end_keys(PT, [p.darts])[0]
+        sorted(range(len(keys)), key=keys.__getitem__)
+
+    assert traced_peak(sort_ends) < 2 * 2 ** 20
+    # the uncached pass releases the keys before it builds the masks
+    assert traced_peak(lambda: linked_passages.__wrapped__(p)) <= 2.5 * 2 ** 20
 
 
 def test_kernel_runs_without_numpy():

@@ -56,6 +56,10 @@ def test_serialization_roundtrip():
         h = RibbonGraph.from_text(g.to_text())
         assert h.nxt == g.nxt and h.pair == g.pair and h.label == g.label
         assert signature(h) == signature(g)
+        # comments and blank lines are skipped
+        h = RibbonGraph.from_text("# a graph\n\n" + g.to_text().replace(
+            "\n", "\n\n  # a comment\n"))
+        assert h.nxt == g.nxt and h.pair == g.pair and h.label == g.label
 
 
 @pytest.mark.parametrize("line", [
@@ -74,6 +78,28 @@ def test_from_text_names_a_malformed_line(line):
         lines.append(line)
     with pytest.raises(RibbonError, match=re.escape(repr(line))):
         RibbonGraph.from_text("\n".join(lines))
+
+
+@pytest.mark.parametrize("nxt, pair, label, rank, message", [
+    # the punctured torus is nxt (1, 2, 3, 0), pair (2, 3, 0, 1),
+    # label (1, 2, -1, -2) and rank 2; each case breaks one field
+    ((1, 2, 3, 0), (2, 3, 0), (1, 2, -1, -2), 2, "equal length"),
+    ((1, 1, 3, 0), (2, 3, 0, 1), (1, 2, -1, -2), 2, "permutations"),
+    ((1, 2, 3, 0), (1, 2, 3, 0), (1, 2, -1, -2), 2, "involution"),
+    ((1, 2, 3, 0), (2, 3, 0, 1), (1, 2, 1, -2), 2, "inverse labels"),
+    ((1, 2, 3, 0), (2, 3, 0, 1), (1, 2, -1, -2), 1, "outside alphabet"),
+])
+def test_ribbon_graph_rejects_inconsistent_fields(nxt, pair, label, rank,
+                                                  message):
+    with pytest.raises(RibbonError, match=message):
+        RibbonGraph(nxt, pair, label, rank)
+
+
+def test_perm_rep_and_cover_refuse_bad_input():
+    with pytest.raises(RibbonError, match="not a permutation"):
+        PermRep(3, ((0, 1, 2), (0, 0, 2)))
+    with pytest.raises(RibbonError, match="every generator"):
+        cover(punctured_torus(), PermRep(2, ((1, 0),)))
 
 
 def test_perm_rep_basics():

@@ -430,6 +430,13 @@ def test_empty_row_has_no_samples_and_no_fit():
             fit(table)
 
 
+def test_row_of_one_value_has_that_value_for_every_statistic():
+    cfg = ExperimentConfig(experiment="self-int", n_grid=(6,), samples=1,
+                           seed=0)
+    assert run_experiment(cfg).to_csv() == ("n,samples,median,q1,q3,mean,max\n"
+                                            "6,1,3.0,3.0,3.0,3.0,3.0\n")
+
+
 def test_conj_ball_experiment():
     cfg = ExperimentConfig(experiment="conj-ball", n_grid=(4, 6), samples=1)
     t = run_experiment(cfg)
@@ -814,18 +821,19 @@ def test_lifting_sorts_each_class_ends_once(monkeypatch):
     run_experiment(cfg)  # caches the generator cores that spiraling checks
     intersect.linked_passages.cache_clear()
     sorts, outcomes = [], []
-    passages, measure = intersect._passages, stats._measure_class
+    end_keys, measure = intersect._end_keys, stats._measure_class
 
-    def counted_passages(*args):
-        sorts.append(args)
-        return passages(*args)
+    def counted_end_keys(g, paths):
+        if len(paths) == 1:  # the one-path pass of ``linked_passages``
+            sorts.append(paths)
+        return end_keys(g, paths)
 
     def counted_measure(config, gamma):
         out = measure(config, gamma)
         outcomes.append((out[0], gamma.primitive_root()[1] > 1))
         return out
 
-    monkeypatch.setattr(intersect, "_passages", counted_passages)
+    monkeypatch.setattr(intersect, "_end_keys", counted_end_keys)
     monkeypatch.setattr(stats, "_measure_class", counted_measure)
     run_experiment(cfg)
     assert len(sorts) == len(outcomes)
