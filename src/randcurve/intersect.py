@@ -49,12 +49,11 @@ its own comes first.  The core is checked for simplicity once per (core,
 graph), and its darts are read off the path that check builds; a sample's
 darts, their string and its primitive root are built once per (curve,
 graph) and read by its spiraling around every core.  The root is cut at the
-string's least period, found in C as the first place past 0 where the
-string occurs in itself doubled.  The runs are found by a compiled regular
-expression over the darts as characters, one per core orientation and
-phase: the next run start whose run holds more roots than the best score so
-far, so only runs that can raise the score are extended and scored in
-Python.
+string's least period, from ``words._period``, the one least-period search
+of classes and paths.  The runs are found by a compiled regular expression
+over the darts as characters, one per core orientation and phase: the next
+run start whose run holds more roots than the best score so far, so only
+runs that can raise the score are extended and scored in Python.
 
 The oracle ``brute_min_crossings``, which ``verify`` runs, minimizes chord
 crossings over every band-consistent strand ordering of the same diagram.
@@ -124,7 +123,7 @@ class EdgePath:
         return len(self.darts)
 
     def primitive_root(self) -> tuple["EdgePath", int]:
-        p = _period(self.darts)
+        p = _period("".join(map(chr, self.darts)))
         if p == len(self.darts):
             return self, 1
         return EdgePath(self.graph, self.darts[:p]), len(self.darts) // p
@@ -460,12 +459,12 @@ def _dart_text(gamma: CyclicWord, g: RibbonGraph):
     """The darts of ``gamma``, the same darts as a string of characters, and
     the letters of its primitive root, built once per (curve, graph): the
     spiraling of one sample around each core reads them.  The string is the
-    one ``_darts_of`` returns.  The root is cut at the string's least period,
-    the first place past 0 where it occurs in itself doubled, found by
-    ``str.find`` in C.  Raises ``RibbonError`` for a letter with no dart; an
-    error is not cached, so it raises again on every call."""
+    one ``_darts_of`` returns, and the root is cut at its least period, from
+    ``words._period``, the one least-period search.  Raises ``RibbonError``
+    for a letter with no dart; an error is not cached, so it raises again on
+    every call."""
     d, text = _darts_of(gamma.letters, g)
-    return d, text, gamma.letters[:(text + text).find(text, 1)]
+    return d, text, gamma.letters[:_period(text)]
 
 
 @lru_cache(maxsize=1024)

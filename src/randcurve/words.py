@@ -7,8 +7,8 @@ inverses, so ranks up to 26 are supported.
 Conjugacy classes are ``CyclicWord``s in least-rotation form, found by a
 minimum expression scan over the letters of a class of up to
 ``RUN_TOKEN_CUT`` = 64 letters and over the runs of its least letter past
-that.  Their primitive roots, and those of edge paths, come from one period
-search.
+that.  Their primitive roots, and those of edge paths and dart texts, come
+from one least-period search, ``_period``.
 ``cyclic_classes`` lists every class up to a given length with the
 Fredricksen-Kessler-Maiorana necklace recursion, cut at any prefix holding a
 cancelling pair ``x, -x``, so only canonical representatives are ever built;
@@ -25,7 +25,6 @@ import functools
 import itertools
 import struct
 from dataclasses import dataclass
-from math import isqrt
 
 MAX_RANK = 26
 
@@ -189,13 +188,13 @@ def _least_byte(text: bytes) -> bytes:
     return text[:1]
 
 
-def _period(seq) -> int:
-    """Primitive root length of a nonempty cyclic sequence: its least period
-    p that divides its length n, so that seq == seq[:p] * (n // p)."""
-    n = len(seq)
-    small = [p for p in range(1, isqrt(n) + 1) if n % p == 0]
-    large = [n // p for p in reversed(small) if p * p != n]
-    return next(p for p in small + large if seq == seq[:p] * (n // p))
+def _period(text) -> int:
+    """Primitive root length of a nonempty cyclic ``str`` or ``bytes``: the
+    first place p past 0 where ``text`` occurs in itself doubled, found in C,
+    so p divides its length and ``text`` is ``text[:p]`` repeated.  A path's
+    darts, one character each, are code points below 0x110000: a rose's
+    cover has no more darts than steps, and ``_steps`` allows no more."""
+    return (text + text).find(text, 1)
 
 
 @dataclass(frozen=True)
@@ -274,7 +273,7 @@ class CyclicWord:
         """Shortest ``u`` with ``self = u^k`` (as cyclic words), plus ``k``."""
         if not self.letters:
             raise WordError("trivial cyclic word has no primitive root")
-        p = _period(self.letters)
+        p = _period(struct.pack(f"{len(self)}b", *self.letters))
         if p == len(self):
             return self, 1
         # a period of a least rotation is itself a least rotation

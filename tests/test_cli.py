@@ -134,6 +134,17 @@ def test_domain_error_exit_code(capsys):
     code = main(["self-int", "--word", "a!b"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+    assert main(["ball", "--rank", "1", "--n", "5"]) == 1
+    assert capsys.readouterr().err == "error: ball sampling needs rank >= 2\n"
+
+
+def test_module_runs_as_a_script():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "randcurve.cli", "--version"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("randcurve ")
 
 
 def test_failed_self_check_exit_code(monkeypatch, capsys):

@@ -11,8 +11,8 @@ from randcurve.covers import (CoverSearchError, DegreeSearchResult, Partition,
                               simple_lifting_degree,
                               subgroup_count_by_enumeration, transitive_reps)
 from randcurve.intersect import EdgePath, linked_passages, self_intersection
-from randcurve.ribbon import (PermRep, elevations, pair_of_pants, perm_cycles,
-                              perm_orbit_count, punctured_torus)
+from randcurve.ribbon import (PermRep, cover, elevations, pair_of_pants,
+                              perm_cycles, perm_orbit_count, punctured_torus)
 from randcurve.stats import _max_spiraling
 from randcurve.words import (CyclicWord, Word, WordError, alphabet_letters,
                              cyclic_classes, cyclic_reduce)
@@ -103,6 +103,8 @@ def test_partitions():
     assert Partition((3, 1, 1)).size == 5
     with pytest.raises(ValueError):
         Partition((1, 2))
+    with pytest.raises(ValueError, match="positive"):
+        Partition((1, 0))
 
 
 def test_hook_degrees():
@@ -133,6 +135,8 @@ def test_transitive_counts():
     reps = list(transitive_reps(2, 2))
     assert len(reps) == 3
     assert all(r.is_transitive for r in reps)
+    with pytest.raises(ValueError, match="degree must be positive"):
+        next(transitive_reps(2, 0))
 
 
 def test_transitive_reps_budget():
@@ -319,6 +323,14 @@ def test_clique_bound_past_d_max_is_not_found():
 def test_nonpositive_d_max_rejected(d_max):
     with pytest.raises(CoverSearchError, match="d_max must be positive"):
         simple_lifting_degree(C("abAB"), PT, d_max=d_max)
+
+
+def test_degree_search_refuses_trivial_class_and_two_vertex_spine():
+    with pytest.raises(WordError, match="trivial curve"):
+        simple_lifting_degree(CyclicWord((), 2), PT)
+    two_sheets = cover(PT, PermRep(2, ((1, 0), (0, 1))))
+    with pytest.raises(CoverSearchError, match="one-vertex spine"):
+        simple_lifting_degree(C("ab"), two_sheets)
 
 
 def test_deep_walk_needs_no_recursion():

@@ -332,6 +332,8 @@ def test_symmetric_system_minimizer():
     assert res.status == "converged"
     x, y, z = res.point.triple()
     assert abs(x - y) + abs(y - z) < 1e-4
+    with pytest.raises(FrickeError, match="trivial word"):
+        minimize_curve_system([CyclicWord((), 2)])
 
 
 def test_rose_minimizer():

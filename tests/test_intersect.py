@@ -15,8 +15,8 @@ from randcurve.ribbon import (PermRep, RibbonError, RibbonGraph, cover,
                               genus2_boundary1, pair_of_pants, punctured_torus,
                               signature, surface)
 from randcurve.stats import _sample_word, uniform_reduced_word
-from randcurve.words import CyclicWord, Word, alphabet_letters, cyclic_classes, \
-    cyclic_reduce, least_rotation
+from randcurve.words import CyclicWord, Word, WordError, alphabet_letters, \
+    cyclic_classes, cyclic_reduce, least_rotation
 from ray_oracle import _backward_ray, _divergence, _forward_ray, _linked
 
 PT = punctured_torus()
@@ -97,6 +97,8 @@ def test_trivial_path_errors():
         EdgePath(PT, ())
     with pytest.raises(IntersectionError):
         EdgePath.from_word(Word.from_string("aA", 2), PT)
+    with pytest.raises(IntersectionError, match="^no paths given$"):
+        brute_min_crossings([])
     p = P("aab")
     root, k = p.primitive_root()
     assert root is p and k == 1
@@ -270,6 +272,8 @@ def test_spiraling_preconditions():
         spiraling(C("baaaBbaB"), C("a"), PT)  # reduces to a power of a
     with pytest.raises(RibbonError):
         spiraling(CyclicWord.from_string("abc", 3), C("a"), PT)  # no dart c
+    with pytest.raises(WordError, match="nontrivial curves"):
+        spiraling(CyclicWord((), 2), C("a"), PT)
 
 
 def test_spiraling_non_simple_core_raises_on_every_call():

@@ -375,6 +375,46 @@ def test_self_count_of_a_k_b_k_is_k_minus_1_squared():
             assert self_intersection(q) == (k - 1) ** 2, k
 
 
+# the maximum self-intersection over the classes of each length L = 1..10,
+# by enumeration (Chas-Phillips)
+MAXIMA = {"punctured-torus": (PT, (0, 1, 2, 3, 4, 5, 6, 9, 12, 16)),
+          "pair-of-pants": (PP, (0, 1, 2, 5, 6, 11, 12, 19, 20, 29))}
+
+
+def closed_form_maximum(name, L):
+    """The maximum for length ``L`` in closed form: on the torus for L >= 7,
+    where it exceeds the L - 1 of b^L, and on the pants for L >= 2."""
+    if name == "punctured-torus":
+        return (L - 2) ** 2 // 4 if L % 2 == 0 else (L - 1) * (L - 3) // 4
+    return L * L // 4 + L // 2 - 1 if L % 2 == 0 else (L * L - 1) // 4
+
+
+def test_maximum_self_count_per_length_on_both_presets():
+    for name, (g, maxima) in MAXIMA.items():
+        best = [0] * 11
+        for c in cyclic_classes(10, 2):
+            best[len(c)] = max(best[len(c)],
+                               self_intersection(EdgePath.from_word(c, g)))
+        assert tuple(best[1:]) == maxima, name
+        for L in range(7 if name == "punctured-torus" else 2, 11):
+            assert closed_form_maximum(name, L) == maxima[L - 1], (name, L)
+
+
+def test_long_classes_stay_at_or_below_the_maximum_for_their_length():
+    # walk and ball classes of about 100-2,000 letters, and the squares and
+    # cubes of two of them, whose self-intersection is k^2 i + k - 1
+    classes = [cyclic_reduce(_sample_word(sampler, 2, (0.25,) * 4, n, 3, i))
+               for sampler, grid in (("walk", (200, 1000)), ("ball", (100, 2000)))
+               for n in grid for i in range(2)]
+    classes += [CyclicWord(c.letters * k, 2) for c in (classes[0], classes[4])
+                for k in (2, 3)]
+    assert all(100 <= len(c) <= 2000 for c in classes)
+    for name, (g, _) in MAXIMA.items():
+        for c in classes:
+            i = self_intersection(EdgePath.from_word(c, g))
+            assert i <= closed_form_maximum(name, len(c)), (name, len(c), i)
+
+
 def test_boundary_curves_of_the_pants_meet_no_class():
     # a and b are boundary curves of the pair of pants
     a, b = (EdgePath.from_word(CyclicWord.from_string(w, 2), PP) for w in "ab")

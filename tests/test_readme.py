@@ -25,7 +25,7 @@ def test_readme_python_block_runs():
 def test_readme_command_results_hold():
     block = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)[-1]
     claims = re.findall(r"^randcurve (.*?)\s+# -> (\S+)$", block, re.M)
-    assert len(claims) == 3
+    assert len(claims) == 5
     for argv, expected in claims:
         out = io.StringIO()
         with redirect_stdout(out):

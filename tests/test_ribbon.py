@@ -10,7 +10,7 @@ from randcurve.ribbon import (PermRep, RibbonGraph, RibbonError, SurfaceSignatur
                               perm_cycles, perm_inverse, perm_orbit_count,
                               project_elevation, punctured_torus, signature,
                               surface)
-from randcurve.words import CyclicWord
+from randcurve.words import CyclicWord, WordError
 
 
 def test_signatures_of_presets():
@@ -194,6 +194,8 @@ def test_elevations_examples():
     assert sum(e.winding for e in els) == 2
     for e in els:
         assert project_elevation(e) == aab.letters * e.winding
+    with pytest.raises(WordError, match="trivial curve"):
+        elevations(CyclicWord((), 2), swap, pt)
 
 
 def test_surface_preset_lookup():

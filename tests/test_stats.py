@@ -42,6 +42,8 @@ def test_distribution_validation():
     with pytest.raises(ConfigError):
         # generator 2 has no weight in either direction: not generating
         WalkDistribution(2, (0.5, 0.0, 0.5, 0.0))
+    with pytest.raises(ConfigError, match="sum to 1"):
+        WalkDistribution(2, (0.3,) * 4)
     mu = WalkDistribution(2, (0.4, 0.1, 0.4, 0.1))
     assert not mu.is_uniform
 
@@ -188,6 +190,8 @@ def test_sample_word_validates_before_drawing(sampler, rank, probs, n):
 
 
 def test_ball_sampling_exact_distribution():
+    with pytest.raises(ConfigError, match="rank >= 2"):
+        sample_ball_uniform(1, 5, 0)
     n = 4
     bn = ball_size(BallSpec(2, n))
     trials = 4000
@@ -235,6 +239,8 @@ def test_drift_examples():
     mu3 = WalkDistribution.uniform(3)
     est3 = drift_estimate(mu3, 2000, 300, 5)
     assert abs(est3.mean - 2 / 3) < 0.02
+    with pytest.raises(ConfigError, match="need n >= 1"):
+        drift_estimate(mu2, 0, 10, 0)
 
 
 def test_config_validation():
@@ -248,6 +254,9 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(experiment="self-int", n_grid=(4,), samples=1,
                          sampler="teleport")
+    with pytest.raises(ConfigError, match="unknown surface 'klein-bottle'"):
+        ExperimentConfig(experiment="self-int", n_grid=(4,), samples=1,
+                         surface="klein-bottle")
     # uniform-distribution precondition for lifting experiments
     with pytest.raises(ConfigError):
         ExperimentConfig(experiment="lifting", n_grid=(6,), samples=2,
@@ -262,6 +271,9 @@ def test_from_dict_coerces_strings_by_field_type():
     assert cfg.n_grid == (6, 12) and cfg.samples == 3 and cfg.seed == 7
     assert cfg.retain_raw is False
     assert cfg.probs == (0.4, 0.1, 0.4, 0.1)
+    cfg = ExperimentConfig.from_dict({"experiment": "self-int", "n_grid": "6",
+                                      "samples": "1", "probs": None})
+    assert cfg.probs is None
     for word, value in (("1", True), ("YES", True), ("true", True),
                         ("0", False), ("no", False)):
         cfg = ExperimentConfig.from_dict({"experiment": "self-int", "n_grid": "6",
@@ -412,6 +424,12 @@ def test_fit_degenerate_errors():
     rows = [RowStats(5, 1, 2.0, 0, 0, 0, 0)] * 3
     with pytest.raises(ConfigError):
         fit_power_law(ExperimentTable(rows, {}))
+    rows = [RowStats(5, 1, float(m), 0, 0, 0, 0) for m in (1, 2, 3, 4)]
+    with pytest.raises(ConfigError, match="no spread in n"):
+        fit_power_law(ExperimentTable(rows, {}))
+    rows = [RowStats(n, 1, 1.0, 0, 0, 0, 0) for n in (0, 5, 10, 20)]
+    with pytest.raises(ConfigError, match="row at n = 0 is not positive"):
+        fit_log_law(ExperimentTable(rows, {}))
 
 
 def test_empty_row_has_no_samples_and_no_fit():
@@ -949,6 +967,18 @@ def _exact_law(config: ExperimentConfig, n: int, rank: int = 2):
     return law, mass
 
 
+def assert_median_and_mean(law, median, mean):
+    """``law`` has the given median and, to four decimals, mean."""
+    below = 0
+    for value in sorted(law):
+        below += law[value]
+        if 2 * below >= 1:
+            break
+    assert value == median and 2 * (1 - below + law[value]) >= 1
+    assert abs(sum(v * p for v, p in law.items()) - Fraction(mean)) \
+        <= Fraction(1, 20000)
+
+
 @pytest.mark.parametrize("sampler,median,mean", [("walk", 1, "2.4159"),
                                                   ("ball", 7, "6.8155")])
 def test_exact_self_int_law_at_n10(sampler, median, mean):
@@ -957,11 +987,27 @@ def test_exact_self_int_law_at_n10(sampler, median, mean):
         experiment="self-int", n_grid=(10,), samples=1, sampler=sampler), 10)
     assert mass == 1
     assert sum(law.values()) == 1
-    below = 0
-    for value in sorted(law):
-        below += law[value]
-        if 2 * below >= 1:
-            break
-    assert value == median and 2 * (1 - below + law[value]) >= 1
-    assert abs(sum(v * p for v, p in law.items()) - Fraction(mean)) \
-        <= Fraction(1, 20000)  # the mean to four decimals
+    assert_median_and_mean(law, median, mean)
+
+
+@pytest.mark.parametrize("sampler,median,mean", [("walk", 0, "0.7121"),
+                                                  ("ball", 1, "1.5642")])
+def test_exact_spiral_law_at_n10(sampler, median, mean):
+    # spiraling cuts each sample's root from its dart text's least period
+    law, mass = _exact_law(ExperimentConfig(
+        experiment="spiral", n_grid=(10,), samples=1, sampler=sampler), 10)
+    assert mass == 1
+    assert sum(law.values()) == 1
+    assert_median_and_mean(law, median, mean)
+
+
+def test_exact_lifting_law_at_n10():
+    # the search lifts each class's primitive root; None is not found
+    law, mass = _exact_law(ExperimentConfig(
+        experiment="lifting", n_grid=(10,), samples=1, sampler="walk",
+        d_max=6), 10)
+    assert mass == 1
+    assert sum(law.values()) == 1
+    assert set(law) == {1, 2, 3, 4, 5, 6, None}
+    assert 1 - law[1] == Fraction(92449, 128589)  # 0.71895
+    assert law[None] == Fraction(217, 85726)  # 0.00253

@@ -11,7 +11,7 @@ from randcurve.words import (RUN_TOKEN_CUT, BallSpec, CyclicWord, Word, WordErro
                              conjugates_in_ball, cyclic_classes, cyclic_reduce,
                              least_rotation, primitive_class_count, reduce,
                              reduce_letters, satisfies_no_cancellation,
-                             sphere_size)
+                             sphere_size, word)
 
 
 def W(s, rank=2):
@@ -86,6 +86,7 @@ def test_parse_format_roundtrip():
         W("a1b")
     with pytest.raises(WordError):
         W("abc", rank=2)  # letter outside alphabet
+    assert word("aB") == Word((1, -2), 2)
 
 
 def test_alphabet():
@@ -95,6 +96,8 @@ def test_alphabet():
         Word((), 0)
     with pytest.raises(WordError):
         Word((), 27)
+    e = CyclicWord((), 2)
+    assert e.inverse() is e
 
 
 def test_reduce_examples():
@@ -300,6 +303,8 @@ def test_ball_and_sphere_sizes():
     assert ball_size(BallSpec(2, 2)) == 17
     assert ball_size(BallSpec(1, 3)) == 7
     assert sphere_size(BallSpec(2, 0)) == 1
+    with pytest.raises(WordError, match="radius must be nonnegative"):
+        BallSpec(2, -1)
     # cross-check against direct enumeration of reduced words, rank 2
     for n in range(0, 5):
         count = 1
@@ -314,6 +319,8 @@ def test_no_cancellation_examples():
     assert satisfies_no_cancellation(W("b"), c) is True
     assert satisfies_no_cancellation(W("A"), c) is False
     assert satisfies_no_cancellation(W("ba"), c) is False
+    with pytest.raises(WordError, match="w must be reduced"):
+        satisfies_no_cancellation(Word((1, -1), 2), C("a"))
 
 
 def test_no_cancellation_length_formula_exhaustive():
